@@ -1,7 +1,7 @@
-// Monotonic wall-clock timing helpers shared by the JGF instrumentor and the
-// benchmark harnesses. The paper keeps support code (timers, RNG) identical
-// across the Java and C# versions of every benchmark; we mirror that by
-// funnelling all measurement through this one clock.
+// Monotonic wall-clock timing helpers shared by the benchmark harnesses and
+// the VM (deadlines, telemetry). The paper keeps support code (timers, RNG)
+// identical across the Java and C# versions of every benchmark; we mirror
+// that by funnelling all measurement through this one clock.
 #pragma once
 
 #include <chrono>

@@ -1,6 +1,7 @@
 // Internal: the tiered execution pipeline. The three engines the paper
-// compares (interpreter.cpp, baseline.cpp, optimizing.cpp) are tier backends
-// behind one TieredEngine; public code uses make_engine().
+// compares (the interpreter and baseline instantiations of stackcore.cpp,
+// and optimizing.cpp) are tier backends behind one TieredEngine; public code
+// uses make_engine().
 //
 // Dispatch (tiered.cpp): every call funnels through TieredEngine::call(),
 // which consults the method's CodeCache entry. Methods at Tier::Optimizing

@@ -438,6 +438,17 @@ void VirtualMachine::throw_exception(VMContext& ctx, std::int32_t class_id,
   ctx.pending_exception = make_exception(ctx, class_id, message);
 }
 
+void raise_fuel_kill(VirtualMachine& vm, VMContext& ctx) {
+  Module& mod = vm.module();
+  if (ctx.fuel.exhausted()) {
+    vm.throw_exception(ctx, mod.fuel_exhausted_class(),
+                       "fuel budget exhausted");
+  } else {
+    vm.throw_exception(ctx, mod.deadline_exceeded_class(),
+                       "wall-clock deadline exceeded");
+  }
+}
+
 std::pair<std::string, std::string> VirtualMachine::describe_exception(
     ObjRef exc) {
   if (exc == nullptr) return {"<null>", ""};

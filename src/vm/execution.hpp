@@ -247,6 +247,29 @@ struct VMContext {
   bool has_pending() const { return pending_exception != nullptr; }
 };
 
+/// Raises FuelExhausted, or DeadlineExceeded when the fuel is not spent, as
+/// ctx.pending_exception. The slow path of fuel_kill.
+void raise_fuel_kill(VirtualMachine& vm, VMContext& ctx);
+
+/// The fuel/deadline kill all three tiers share: at frame entry (a frame
+/// entered after the budget ran dry faults at once, so loop-free callees
+/// cannot extend a dead job) and at each fuel pulse. Returns true, with the
+/// catchable exception pending, when the job must stop.
+inline bool fuel_kill(VirtualMachine& vm, VMContext& ctx) {
+  if (!ctx.fuel.exhausted() && !ctx.fuel.past_deadline()) return false;
+  raise_fuel_kill(vm, ctx);
+  return true;
+}
+
+/// A fuel pulse: charges the back edges taken since the last charge
+/// (`charged` catches up with `backedges`), then runs the kill check.
+inline bool fuel_pulse(VirtualMachine& vm, VMContext& ctx,
+                       std::uint32_t backedges, std::uint32_t& charged) {
+  ctx.fuel.charge(backedges - charged);
+  charged = backedges;
+  return fuel_kill(vm, ctx);
+}
+
 // ---------------------------------------------------------------------------
 // Engine interface.
 

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "cil/jg.hpp"
 #include "cil/micro.hpp"
@@ -13,7 +16,9 @@
 #include "cil/suite.hpp"
 #include "kernels/jgf.hpp"
 #include "kernels/scimark.hpp"
+#include "vm/ilbuilder.hpp"
 #include "vm/intrinsics.hpp"
+#include "vm/telemetry/telemetry.hpp"
 
 namespace hpcnet::test {
 namespace {
@@ -21,6 +26,7 @@ namespace {
 using namespace hpcnet;
 using namespace hpcnet::cil;
 using vm::Slot;
+using vm::ValType;
 
 class CilSuite : public ::testing::Test {
  protected:
@@ -283,6 +289,125 @@ TEST_F(CilSuite, BceVariantsComputeIdenticalResults) {
   const Slot a = run_all(ld, args);
   const Slot b = run_all(var, args);
   EXPECT_EQ(a.raw, b.raw);
+}
+
+
+// The interpreter (rotor10) and baseline (mono023) tiers are one stack
+// machine instantiated on two slot policies. A policy may change how fast an
+// instruction runs, never which instructions run or what they compute: both
+// tiers must return the same bits and retire the same IL instructions per
+// method, on the SciMark kernels and on exception control flow.
+TEST(StackTiers, TaggedAndUntaggedAgreeOnResultsAndBytecodes) {
+  vm::telemetry::set_enabled(true);
+  if (!vm::telemetry::enabled()) {
+    GTEST_SKIP() << "built with HPCNET_TELEMETRY=OFF";
+  }
+  vm::VirtualMachine v;
+  vm::Module& mod = v.module();
+  const auto i4 = [](int x) { return Slot::from_i32(x); };
+  const ScimarkSizes s = ScimarkSizes::test_model();
+  std::vector<std::pair<std::int32_t, std::vector<Slot>>> calls = {
+      {build_sm_fft(v), {i4(s.fft_n), i4(s.fft_cycles)}},
+      {build_sm_sor(v), {i4(s.sor_n), i4(s.sor_iters)}},
+      {build_sm_montecarlo(v), {i4(s.mc_samples)}},
+      {build_sm_sparse(v),
+       {i4(s.sparse_n), i4(s.sparse_nz), i4(s.sparse_iters)}},
+      {build_sm_lu(v), {i4(s.lu_n)}},
+  };
+
+  // x = arg; try { x = 100 / x } catch (DivideByZero) { x = -1 }
+  // try { x = x + 5 } finally { x = x * 2 } return x
+  vm::ILBuilder tcf(mod, "xtier.try_catch_finally",
+                    {{ValType::I32}, ValType::I32});
+  {
+    const auto x = tcf.add_local(ValType::I32);
+    const auto c0 = tcf.new_label(), c1 = tcf.new_label();
+    const auto handler = tcf.new_label(), after_catch = tcf.new_label();
+    const auto f0 = tcf.new_label(), f1 = tcf.new_label();
+    const auto fin = tcf.new_label(), out = tcf.new_label();
+    tcf.ldarg(0).stloc(x);
+    tcf.bind(c0);
+    tcf.ldc_i4(100).ldloc(x).div().stloc(x).leave(after_catch);
+    tcf.bind(c1);
+    tcf.add_catch(c0, c1, handler, mod.divide_by_zero_class());
+    tcf.bind(handler);
+    tcf.pop().ldc_i4(-1).stloc(x).leave(after_catch);
+    tcf.bind(after_catch);
+    tcf.bind(f0);
+    tcf.ldloc(x).ldc_i4(5).add().stloc(x).leave(out);
+    tcf.bind(f1);
+    tcf.add_finally(f0, f1, fin);
+    tcf.bind(fin);
+    tcf.ldloc(x).ldc_i4(2).mul().stloc(x).endfinally();
+    tcf.bind(out);
+    tcf.ldloc(x).ret();
+  }
+  const std::int32_t tcf_id = tcf.finish();
+
+  // thrower(n): if (n == 0) throw new Exception(); return 100 / n
+  vm::ILBuilder thrower(mod, "xtier.thrower", {{ValType::I32}, ValType::I32});
+  {
+    const auto ok = thrower.new_label();
+    thrower.ldarg(0).brtrue(ok);
+    thrower.newobj(mod.exception_class()).throw_();
+    thrower.bind(ok);
+    thrower.ldc_i4(100).ldarg(0).div().ret();
+  }
+  const std::int32_t thrower_id = thrower.finish();
+  // caller(n): try { r = thrower(n) } catch (Exception) { r = -7 } return r
+  vm::ILBuilder caller(mod, "xtier.caller", {{ValType::I32}, ValType::I32});
+  {
+    const auto r = caller.add_local(ValType::I32);
+    const auto t0 = caller.new_label(), t1 = caller.new_label();
+    const auto handler = caller.new_label(), out = caller.new_label();
+    caller.bind(t0);
+    caller.ldarg(0).call(thrower_id).stloc(r).leave(out);
+    caller.bind(t1);
+    caller.add_catch(t0, t1, handler, mod.exception_class());
+    caller.bind(handler);
+    caller.pop().ldc_i4(-7).stloc(r).leave(out);
+    caller.bind(out);
+    caller.ldloc(r).ret();
+  }
+  const std::int32_t caller_id = caller.finish();
+  for (int arg : {0, 7}) calls.push_back({tcf_id, {i4(arg)}});
+  for (int arg : {0, 4}) calls.push_back({caller_id, {i4(arg)}});
+
+  struct Run {
+    std::vector<std::uint64_t> results;
+    std::map<std::int32_t, std::uint64_t> bytecodes;  // per method
+  };
+  const auto run = [&](const char* profile) {
+    auto engine = vm::make_engine(v, vm::profiles::by_name(profile));
+    vm::VMContext& ctx = v.main_context();
+    ctx.engine = engine.get();
+    vm::telemetry::reset();
+    Run r;
+    for (const auto& [method, args] : calls) {
+      r.results.push_back(engine->invoke(ctx, method, args).raw);
+    }
+    for (const auto& p : vm::telemetry::snapshot().methods) {
+      r.bytecodes[p.method_id] = p.bytecodes;
+    }
+    return r;
+  };
+  Run rotor = run("rotor10");
+  Run mono = run("mono023");
+  vm::telemetry::set_enabled(false);
+  vm::telemetry::reset();
+
+  EXPECT_EQ(rotor.results, mono.results);
+  EXPECT_EQ(rotor.bytecodes, mono.bytecodes);
+  const std::size_t n = calls.size();
+  ASSERT_EQ(mono.results.size(), n);
+  EXPECT_EQ(static_cast<std::int32_t>(mono.results[n - 4]), 8);
+  EXPECT_EQ(static_cast<std::int32_t>(mono.results[n - 3]), 38);
+  EXPECT_EQ(static_cast<std::int32_t>(mono.results[n - 2]), -7);
+  EXPECT_EQ(static_cast<std::int32_t>(mono.results[n - 1]), 25);
+  for (const auto& [method, args] : calls) {
+    EXPECT_GT(mono.bytecodes[method], 0u) << mod.method(method).name;
+  }
+  EXPECT_GT(mono.bytecodes[thrower_id], 0u);
 }
 
 }  // namespace
