@@ -230,7 +230,8 @@ int main(int argc, char** argv) {
   {
     // Warm the shared code cache so worker counts compare steady-state JIT
     // code rather than racing first-compile latency.
-    service::ExecutionService warm(machine, profile, {.workers = 1});
+    service::ExecutionService warm(machine, profile,
+                                   {.workers = 1, .warm_start = nullptr});
     warm.add_tenant({.name = "warmup"});
     run_batch(warm, {"warmup"}, jobs, static_cast<int>(jobs.size()) * 2);
   }
@@ -238,7 +239,8 @@ int main(int argc, char** argv) {
   support::ResultTable scaling(
       "Service throughput: mixed SciMark jobs, 4 tenants (per worker count)");
   for (int workers : {1, 2, 4, 8}) {
-    service::ExecutionService svc(machine, profile, {.workers = workers});
+    service::ExecutionService svc(machine, profile,
+                                  {.workers = workers, .warm_start = nullptr});
     std::vector<std::string> tenants;
     for (int t = 0; t < 4; ++t) {
       tenants.push_back("tenant-" + std::to_string(t));
@@ -263,13 +265,15 @@ int main(int argc, char** argv) {
   double best_on = 0;
   for (int trial = 0; trial < 3; ++trial) {
     {
-      service::ExecutionService svc(machine, profile, {.workers = 1});
+      service::ExecutionService svc(machine, profile,
+                                    {.workers = 1, .warm_start = nullptr});
       svc.add_tenant({.name = "solo"});
       best_off = std::max(
           best_off, run_batch(svc, {"solo"}, jobs, batch / 2).jobs_per_sec);
     }
     {
-      service::ExecutionService svc(machine, profile, {.workers = 1});
+      service::ExecutionService svc(machine, profile,
+                                    {.workers = 1, .warm_start = nullptr});
       svc.add_tenant({.name = "solo", .fuel_per_job = 1ull << 40});
       best_on = std::max(
           best_on, run_batch(svc, {"solo"}, jobs, batch / 2).jobs_per_sec);
@@ -287,7 +291,8 @@ int main(int argc, char** argv) {
       "Service front end: TCP loopback vs in-process, 4 tenants, depth 8");
   double best_ratio = 1e9;
   for (int workers : {1, 4, 8}) {
-    service::ExecutionService svc(machine, profile, {.workers = workers});
+    service::ExecutionService svc(machine, profile,
+                                  {.workers = workers, .warm_start = nullptr});
     std::vector<std::string> tenants;
     for (int t = 0; t < 4; ++t) {
       tenants.push_back("tenant-" + std::to_string(t));

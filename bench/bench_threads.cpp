@@ -28,7 +28,8 @@ int main(int argc, char** argv) {
                                           : std::vector<int>{2};
 
   for (int n : counts) {
-    const std::string suffix = ":" + std::to_string(n) + "t";
+    std::string suffix = ":";
+    suffix += std::to_string(n) + "t";
     register_custom(
         "ForkJoin" + suffix,
         [forkjoin, n](vm::Engine& e) {

@@ -134,8 +134,6 @@ std::int32_t build_jg_heapsort(vm::VirtualMachine& v) {
     const auto i = b.add_local(ValType::I32);
     const auto start = b.add_local(ValType::I32);
     const auto end = b.add_local(ValType::I32);
-    const auto root = b.add_local(ValType::I32);
-    const auto child = b.add_local(ValType::I32);
     const auto tmp = b.add_local(ValType::I32);
     const auto checksum = b.add_local(ValType::I64);
 

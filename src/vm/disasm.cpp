@@ -30,7 +30,8 @@ std::string disassemble_cil(const Module& module, std::int32_t method_id) {
   }
   for (const ExHandler& h : m.handlers) {
     s += h.kind == HandlerKind::Catch ? ";  .catch " : ";  .finally ";
-    s += "[" + std::to_string(h.try_begin) + ", " + std::to_string(h.try_end) +
+    s += "[";
+    s += std::to_string(h.try_begin) + ", " + std::to_string(h.try_end) +
          ") -> " + std::to_string(h.handler);
     if (h.kind == HandlerKind::Catch) {
       s += " (" + module.klass(h.catch_class).name + ")";

@@ -34,7 +34,6 @@ EngineProfile clr11() {
   p.flags.inline_calls = true;
   p.flags.inline_max_il = 64;
   p.flags.cse = true;
-  p.flags.licm = true;
   return p;
 }
 
@@ -50,7 +49,6 @@ EngineProfile ibm131() {
   p.flags.inline_calls = true;  // the IBM JIT inlined aggressively
   p.flags.inline_max_il = 64;
   p.flags.cse = true;
-  p.flags.licm = true;
   return p;
 }
 
@@ -59,15 +57,13 @@ EngineProfile sun14() {
   p.name = "sun14";
   p.tier = Tier::Optimizing;
   p.flags.fuse_cmp_branch = false;  // fewer passes than the leaders
-  p.flags.imm_operands = true;
   p.flags.mul_imm_fusion = false;
   p.flags.fast_multidim = false;
   p.flags.fast_math = false;
   p.flags.cheap_exceptions = true;
-  // HotSpot client compiler: local value numbering and code motion, but
-  // conservative inlining (modelled here as none).
+  // HotSpot client compiler: local value numbering, but conservative
+  // inlining (modelled here as none).
   p.flags.cse = true;
-  p.flags.licm = true;
   return p;
 }
 

@@ -72,11 +72,11 @@ struct TierPolicy {
 };
 
 /// Optimization-pass flags for the Optimizing tier. Each maps to a behaviour
-/// the paper observed in a specific JIT (DESIGN.md §5).
+/// the paper observed in a specific JIT (DESIGN.md §5). Passes every profile
+/// runs the same way (copy propagation, immediate operands, the inlining
+/// depth and growth budget) are constants of the compiler (regcompile.hpp).
 struct EngineFlags {
-  bool copy_propagation = true;   // enregistration of stack traffic
   bool fuse_cmp_branch = true;    // compare+branch superinstructions
-  bool imm_operands = true;       // constant operands folded into instructions
   bool bounds_check_elim = true;  // hoist array bounds checks in counted loops
   bool redundant_const_store = false;  // CLR 1.1 quirk: spills the divisor
                                        // constant to a temp (paper Table 6)
@@ -89,13 +89,8 @@ struct EngineFlags {
   bool cheap_exceptions = false;  // JVM-style lightweight throw path
   bool inline_calls = false;   // method inlining at CALL sites
   int inline_max_il = 24;      // max callee body size (IL instructions)
-  int inline_depth = 2;        // inlining rounds; a directly recursive callee
-                               // unrolls one level per round (the HotSpot
-                               // MaxRecursiveInlineLevel idea)
-  int inline_total_il = 256;   // stop expanding past this caller body size
   bool cse = false;            // common-subexpression elimination (EBB-scoped
                                // value numbering incl. ldlen/field/elem loads)
-  bool licm = false;           // loop-invariant code motion from back-edges
   bool vectorize = false;      // VECLOOP superinstruction lowering for
                                // recognized map/reduction/stencil loops
                                // (DESIGN.md §12); off in all seven paper

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <stdexcept>
 
@@ -305,9 +306,15 @@ ObjRef Heap::alloc_array(ValType elem, std::int32_t length, Tlab* tlab) {
 ObjRef Heap::alloc_matrix2(ValType elem, std::int32_t rows, std::int32_t cols,
                            Tlab* tlab) {
   if (rows < 0 || cols < 0) throw std::invalid_argument("negative matrix dim");
-  ObjRef obj = alloc_raw(static_cast<std::size_t>(rows) *
-                             static_cast<std::size_t>(cols) * elem_size(elem),
-                         tlab);
+  // rows * cols stays below 2^62, but the byte size can pass 2^64. A wrapped
+  // size would allocate a short payload under the full dims, which the
+  // element accesses bounds-check against: refuse it like a spent budget.
+  const std::size_t cells =
+      static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
+  if (cells > std::numeric_limits<std::size_t>::max() / 2 / elem_size(elem)) {
+    return nullptr;
+  }
+  ObjRef obj = alloc_raw(cells * elem_size(elem), tlab);
   if (obj == nullptr) return nullptr;  // tenant budget refused
   obj->kind = ObjKind::Matrix2;
   obj->elem = elem;

@@ -345,7 +345,8 @@ class Heap {
   /// for native callers without a VMContext and as the bench baseline).
   /// When the TLAB has a bound AllocBudget that refuses the charge, these
   /// return nullptr (the engines turn that into a managed
-  /// OutOfMemoryException); unmetered allocation never returns nullptr.
+  /// OutOfMemoryException). Unmetered allocation returns nullptr only for a
+  /// matrix whose byte size does not fit in size_t.
   ObjRef alloc_instance(std::int32_t class_id, Tlab* tlab = nullptr);
   ObjRef alloc_array(ValType elem, std::int32_t length, Tlab* tlab = nullptr);
   ObjRef alloc_matrix2(ValType elem, std::int32_t rows, std::int32_t cols,

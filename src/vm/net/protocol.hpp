@@ -82,6 +82,7 @@ class WireWriter {
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void str(const std::string& s) {
+    buf_.reserve(buf_.size() + 4 + s.size());  // one growth for both parts
     u32(static_cast<std::uint32_t>(s.size()));
     buf_.insert(buf_.end(), s.begin(), s.end());
   }

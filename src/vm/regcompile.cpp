@@ -57,10 +57,8 @@ class Compiler {
     translate();
     mark(telemetry::JitPass::Translate);
     trace("translate");
-    if (flags_.copy_propagation) {
-      optimize_blocks();
-      optimize_blocks();  // second round cleans copies exposed by DCE
-    }
+    optimize_blocks();
+    optimize_blocks();  // second round cleans copies exposed by DCE
     mark(telemetry::JitPass::Optimize);
     trace("copyprop+dce");
     if (flags_.cse) {
@@ -69,14 +67,11 @@ class Compiler {
       // subtree matches only after its repeated leaves were unified).
       for (int i = 0; i < 2; ++i) {
         cse_blocks();
-        if (flags_.copy_propagation) optimize_blocks();
+        optimize_blocks();
       }
     }
     mark(telemetry::JitPass::Cse);
     if (flags_.cse) trace("cse");
-    if (flags_.licm) hoist_loop_invariants();
-    mark(telemetry::JitPass::Licm);
-    if (flags_.licm) trace("licm");
     if (flags_.bounds_check_elim) eliminate_bounds_checks();
     mark(telemetry::JitPass::BoundsCheckElim);
     if (flags_.bounds_check_elim) trace("bce");
@@ -179,9 +174,6 @@ class Compiler {
   static void splice(MethodDef& work, std::size_t c, const MethodDef& callee);
   void optimize_blocks();
   void cse_blocks();
-  void hoist_loop_invariants();
-  bool hoist_round();
-  bool try_hoist(std::int32_t body, std::int32_t j);
   void eliminate_bounds_checks();
   void compact();
   void finalize();
@@ -230,7 +222,6 @@ void Compiler::translate() {
 void Compiler::translate_one(std::int32_t pc, const Instr& in) {
   const auto& st = mp_->stack_in[static_cast<std::size_t>(pc)];
   const auto d = static_cast<std::int32_t>(st.size());
-  auto stk = [&](std::int32_t i) { return st[static_cast<std::size_t>(i)]; };
 
   switch (in.op) {
     case Op::NOP:
@@ -322,7 +313,7 @@ void Compiler::translate_one(std::int32_t pc, const Instr& in) {
       };
 
       bool emitted = false;
-      if (cb.has_value() && flags_.imm_operands) {
+      if (cb.has_value()) {
         // Immediate-operand instruction selection, gated per-op by the
         // profile (the "different JITs optimize different operations"
         // result in the paper's §5).
@@ -398,7 +389,7 @@ void Compiler::translate_one(std::int32_t pc, const Instr& in) {
     case Op::XOR: {
       const bool i4 = in.type == ValType::I32;
       const auto ca = const_at(static_cast<std::size_t>(d - 1));
-      if (in.op == Op::AND && i4 && ca.has_value() && flags_.imm_operands) {
+      if (in.op == Op::AND && i4 && ca.has_value()) {
         RInstr& r = emit(ROp::ANDI_I4, sreg(d - 2, in.type), sreg(d - 2, in.type));
         r.imm.i64 = static_cast<std::int64_t>(ca->raw);
       } else {
@@ -422,7 +413,7 @@ void Compiler::translate_one(std::int32_t pc, const Instr& in) {
     case Op::SHR_UN: {
       const bool i4 = in.type == ValType::I32;
       const auto ca = const_at(static_cast<std::size_t>(d - 1));
-      if (ca.has_value() && flags_.imm_operands && in.op != Op::SHR_UN) {
+      if (ca.has_value() && in.op != Op::SHR_UN) {
         const ROp iop = in.op == Op::SHL ? (i4 ? ROp::SHLI_I4 : ROp::SHLI_I8)
                                          : (i4 ? ROp::SHRI_I4 : ROp::SHRI_I8);
         RInstr& r = emit(iop, sreg(d - 2, in.type), sreg(d - 2, in.type));
@@ -484,7 +475,7 @@ void Compiler::translate_one(std::int32_t pc, const Instr& in) {
       const std::int32_t rb = sreg(d - 1, t);
       const auto cb = const_at(static_cast<std::size_t>(d - 1));
       if (flags_.fuse_cmp_branch) {
-        if (t == ValType::I32 && cb.has_value() && flags_.imm_operands) {
+        if (t == ValType::I32 && cb.has_value()) {
           ROp op;
           switch (in.op) {
             case Op::BEQ: op = ROp::JEQI_I4; break;
@@ -634,7 +625,7 @@ void Compiler::translate_one(std::int32_t pc, const Instr& in) {
         }
         // The immediate carries the intrinsic ID (position-independent; the
         // dispatch loop resolves it via math1_fn/math2_fn), so same id =>
-        // same value and CSE/LICM keying is unchanged.
+        // same value and CSE keying is unchanged.
         if (regir::math1_fn(in.a) != nullptr) {
           RInstr& r = emit(ROp::MATH1_R8, rd, a0);
           r.imm.i64 = in.a;
@@ -1078,9 +1069,9 @@ void Compiler::optimize_blocks() {
 // locals are renumbered after them, branch targets are rebased, and every RET
 // becomes a branch past the splice (the return value composes through the
 // operand stack). A directly recursive callee unrolls one level per round —
-// the HotSpot MaxRecursiveInlineLevel idea — bounded by inline_depth and the
-// total growth budget. The expanded body is re-verified and kept alive via
-// RCode::body so handler tables, stack maps and il_pc ranges all
+// the HotSpot MaxRecursiveInlineLevel idea — bounded by kInlineDepth and the
+// kInlineTotalIl growth budget. The expanded body is re-verified and kept
+// alive via RCode::body so handler tables, stack maps and il_pc ranges all
 // describe the code that was actually compiled.
 
 bool Compiler::inlinable(const MethodDef& callee) const {
@@ -1188,9 +1179,9 @@ void Compiler::inline_methods() {
 
   auto work = std::make_shared<MethodDef>(m_);
   const std::size_t growth_cap =
-      m_.code.size() + static_cast<std::size_t>(flags_.inline_total_il);
+      m_.code.size() + static_cast<std::size_t>(kInlineTotalIl);
   bool changed_any = false;
-  for (int round = 0; round < flags_.inline_depth; ++round) {
+  for (int round = 0; round < kInlineDepth; ++round) {
     bool changed = false;
     for (std::size_t pc = 0; pc < work->code.size(); ++pc) {
       if (work->code.size() >= growth_cap) break;
@@ -1526,243 +1517,6 @@ void Compiler::cse_blocks() {
       }
     }
   }
-}
-
-// --------------------------------------------------------------------------
-// Loop-invariant code motion.
-//
-// Loops are recognized from back-edges (a branch whose target precedes it);
-// the region between target and branch is treated as the loop. A region
-// qualifies when control can only enter it one way — by falling into its
-// head, or through a single unconditional jump from outside (the rotated
-// `br cond; top: ...; cond: guard` shape our loop builders emit) — so the
-// chosen insertion point dominates the loop. Hoistable instructions are pure
-// computations whose operands have no definition inside the region, whose
-// destination is defined exactly once and used only inside the region after
-// the definition. ldlen additionally must sit in the guaranteed-executed
-// entry block (it can fault on a null array, so it may only be hoisted where
-// it would have executed anyway) and must not change exception-handler
-// scope. Hoisted instructions are inserted before the region entry;
-// il_start_ is shifted so existing branch targets skip over them.
-
-namespace {
-
-bool licm_candidate_op(ROp op) {
-  if (op == ROp::MOV) return false;
-  if (is_pure(op)) return true;
-  switch (op) {
-    case ROp::MATH1_R8: case ROp::MATH2_R8:
-    case ROp::ABS_I4_R: case ROp::ABS_I8_R: case ROp::ABS_R4_R:
-    case ROp::ABS_R8_R:
-    case ROp::MAX_I4_R: case ROp::MAX_I8_R: case ROp::MAX_R4_R:
-    case ROp::MAX_R8_R:
-    case ROp::MIN_I4_R: case ROp::MIN_I8_R: case ROp::MIN_R4_R:
-    case ROp::MIN_R8_R:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
-void Compiler::hoist_loop_invariants() {
-  // Each successful round rewrites positions; rescan from scratch. The round
-  // cap only bounds pathological inputs.
-  for (int round = 0; round < 64; ++round) {
-    if (!hoist_round()) return;
-  }
-}
-
-bool Compiler::hoist_round() {
-  struct Loop {
-    std::int32_t body, branch;
-  };
-  std::vector<Loop> loops;
-  for (std::size_t j = 0; j < out_.size(); ++j) {
-    if (!is_branch(out_[j].op)) continue;
-    const std::int32_t til = out_[j].d;
-    if (til < 0 || static_cast<std::size_t>(til) >= il_start_.size()) continue;
-    const std::int32_t body = il_start_[static_cast<std::size_t>(til)];
-    if (body < 0 || static_cast<std::size_t>(body) >= j) continue;
-    loops.push_back({body, static_cast<std::int32_t>(j)});
-  }
-  std::sort(loops.begin(), loops.end(), [](const Loop& x, const Loop& y) {
-    return (x.branch - x.body) < (y.branch - y.body);
-  });
-  for (const Loop& l : loops) {
-    if (try_hoist(l.body, l.branch)) return true;
-  }
-  return false;
-}
-
-bool Compiler::try_hoist(std::int32_t body, std::int32_t j) {
-  // No handler may start inside the region (entry via unwind is invisible to
-  // the entry analysis below).
-  for (const ExHandler& h : mp_->handlers) {
-    const std::int32_t hs = il_start_[static_cast<std::size_t>(h.handler)];
-    if (hs >= body && hs <= j) return false;
-  }
-
-  // Entry analysis: find every control transfer into [body, j] from outside.
-  std::int32_t entries = 0;
-  std::int32_t entry_jmp = -1;     // position of the sole outside jump
-  std::int32_t entry_target = -1;  // where it lands inside the region
-  bool entry_uncond = false;
-  for (std::size_t p = 0; p < out_.size(); ++p) {
-    const RInstr& in = out_[p];
-    std::int32_t til;
-    if (is_branch(in.op)) {
-      til = in.d;
-    } else if (in.op == ROp::LEAVE_R) {
-      til = in.a;
-    } else {
-      continue;
-    }
-    if (til < 0 || static_cast<std::size_t>(til) >= il_start_.size()) continue;
-    const std::int32_t t = il_start_[static_cast<std::size_t>(til)];
-    if (t < body || t > j) continue;
-    const auto pos = static_cast<std::int32_t>(p);
-    if (pos >= body && pos <= j) continue;  // internal edge
-    ++entries;
-    entry_jmp = pos;
-    entry_target = t;
-    entry_uncond = in.op == ROp::JMP || in.op == ROp::JMPB;
-  }
-
-  bool fall_in = true;
-  {
-    std::int32_t p = body - 1;
-    while (p >= 0 && out_[static_cast<std::size_t>(p)].op == ROp::NOP_R) --p;
-    if (p >= 0) {
-      const ROp op = out_[static_cast<std::size_t>(p)].op;
-      if (op == ROp::JMP || op == ROp::JMPB || op == ROp::RET_R ||
-          op == ROp::THROW_R || op == ROp::LEAVE_R ||
-          op == ROp::ENDFINALLY_R) {
-        fall_in = false;
-      }
-    }
-  }
-
-  std::int32_t insert_at;
-  std::int32_t entry_pos;  // first region instruction that always executes
-  if (entries == 0 && fall_in) {
-    insert_at = body;
-    entry_pos = body;
-  } else if (entries == 1 && !fall_in && entry_uncond) {
-    // Rotated loop: hoist into the preheader, right before the entry jump.
-    // A branch targeting the jump's own position would skip the hoisted
-    // code after the insertion shift; reject that shape.
-    for (std::size_t il = 0; il < labels_.size(); ++il) {
-      if (labels_[il] && il < il_start_.size() &&
-          il_start_[il] == entry_jmp) {
-        return false;
-      }
-    }
-    insert_at = entry_jmp;
-    entry_pos = entry_target;
-  } else {
-    return false;
-  }
-
-  // Extent of the guaranteed-executed entry block: from entry_pos to the
-  // first block end or labeled position (a label admits paths that bypass
-  // the instructions before it).
-  std::vector<bool> label_pos(out_.size(), false);
-  for (std::size_t il = 0; il < labels_.size(); ++il) {
-    if (labels_[il] && il < il_start_.size() && il_start_[il] >= 0 &&
-        static_cast<std::size_t>(il_start_[il]) < out_.size()) {
-      label_pos[static_cast<std::size_t>(il_start_[il])] = true;
-    }
-  }
-  std::int32_t eb_end = entry_pos;
-  for (std::int32_t p = entry_pos; p <= j; ++p) {
-    if (p > entry_pos && label_pos[static_cast<std::size_t>(p)]) break;
-    eb_end = p;
-    if (is_block_end(out_[static_cast<std::size_t>(p)].op)) break;
-  }
-
-  const std::int32_t nregs = static_cast<std::int32_t>(rc_.reg_types.size());
-  std::vector<std::int32_t> region_defs(static_cast<std::size_t>(nregs), 0);
-  for (std::int32_t p = body; p <= j; ++p) {
-    const Operands ops = operands_of(out_[static_cast<std::size_t>(p)],
-                                     rc_.args_pool);
-    if (ops.def >= 0) ++region_defs[static_cast<std::size_t>(ops.def)];
-  }
-
-  auto uses_reg = [&](const RInstr& in, std::int32_t r) {
-    const Operands ops = operands_of(in, rc_.args_pool);
-    for (int k = 0; k < ops.nuses; ++k) {
-      if (ops.uses[k] == r) return true;
-    }
-    if (in.op == ROp::CALL_R || in.op == ROp::CALLINTR_R) {
-      const auto argc = static_cast<std::int32_t>(in.imm.i64);
-      for (std::int32_t k = 0; k < argc; ++k) {
-        if (rc_.args_pool[static_cast<std::size_t>(in.b + k)] == r) {
-          return true;
-        }
-      }
-    }
-    return false;
-  };
-
-  const std::int32_t ins_il = out_[static_cast<std::size_t>(insert_at)].il_pc;
-  std::vector<std::int32_t> cands;
-  for (std::int32_t k = body; k <= j; ++k) {
-    const RInstr& in = out_[static_cast<std::size_t>(k)];
-    if (in.op == ROp::NOP_R || in.pinned()) continue;
-    const bool ldlen = in.op == ROp::LDLEN_R;
-    if (!ldlen && !licm_candidate_op(in.op)) continue;
-    const Operands ops = operands_of(in, rc_.args_pool);
-    if (ops.def < rc_.slot_regs) continue;  // slots stay where they are
-    if (region_defs[static_cast<std::size_t>(ops.def)] != 1) continue;
-    bool ok = true;
-    for (int u = 0; u < ops.nuses && ok; ++u) {
-      if (region_defs[static_cast<std::size_t>(ops.uses[u])] != 0) ok = false;
-    }
-    // Every use of the destination must be inside the region, after the
-    // definition (a use before it would be loop-carried; one outside would
-    // observe the speculated value).
-    for (std::size_t p = 0; p < out_.size() && ok; ++p) {
-      if (out_[p].op == ROp::NOP_R) continue;
-      if (!uses_reg(out_[p], ops.def)) continue;
-      const auto pos = static_cast<std::int32_t>(p);
-      if (pos <= k || pos > j || pos < body) ok = false;
-    }
-    if (!ok) continue;
-    if (ldlen) {
-      if (k < entry_pos || k > eb_end) continue;
-      // The fault site moves to the insertion point; both must sit in the
-      // same try scopes or a throw could reach a different handler.
-      bool same_scope = true;
-      for (const ExHandler& h : mp_->handlers) {
-        const bool at_ins = ins_il >= h.try_begin && ins_il < h.try_end;
-        const bool at_k = in.il_pc >= h.try_begin && in.il_pc < h.try_end;
-        if (at_ins != at_k) {
-          same_scope = false;
-          break;
-        }
-      }
-      if (!same_scope) continue;
-    }
-    cands.push_back(k);
-  }
-  if (cands.empty()) return false;
-
-  std::vector<RInstr> hoisted;
-  hoisted.reserve(cands.size());
-  for (std::int32_t k : cands) {
-    RInstr h = out_[static_cast<std::size_t>(k)];
-    h.il_pc = ins_il;
-    hoisted.push_back(h);
-    out_[static_cast<std::size_t>(k)].op = ROp::NOP_R;
-  }
-  out_.insert(out_.begin() + insert_at, hoisted.begin(), hoisted.end());
-  const auto nh = static_cast<std::int32_t>(hoisted.size());
-  for (auto& v : il_start_) {
-    if (v >= insert_at) v += nh;
-  }
-  return true;
 }
 
 // --------------------------------------------------------------------------

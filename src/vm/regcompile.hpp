@@ -9,6 +9,13 @@
 
 namespace hpcnet::vm::regir {
 
+/// Inlining rounds: a directly recursive callee unrolls one level per round
+/// (the HotSpot MaxRecursiveInlineLevel idea).
+constexpr int kInlineDepth = 2;
+/// Inlining stops expanding a caller past its own size plus this many IL
+/// instructions.
+constexpr int kInlineTotalIl = 256;
+
 /// Compiles a verified method under the profile's optimization flags.
 RCode compile(Module& module, const MethodDef& m, const EngineFlags& flags);
 

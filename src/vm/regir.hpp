@@ -8,10 +8,10 @@
 // an object this very register has kept alive — so frames need no per-pc
 // maps at all, matching how generational JITs batch their root scans.
 //
-// Optimization passes (gated by EngineFlags, see DESIGN.md §5): constant
-// operand folding (immediate instruction forms), compare+branch fusion,
-// copy propagation + dead-move elimination (the "enregistration" the paper's
-// disassembly shows for CLR/IBM but not Mono/Rotor), the CLR's
+// Optimization passes (mostly gated by EngineFlags, see DESIGN.md §5):
+// constant operand folding (immediate instruction forms), compare+branch
+// fusion, copy propagation + dead-move elimination (the "enregistration" the
+// paper's disassembly shows for CLR/IBM but not Mono/Rotor), the CLR's
 // redundant-constant-store quirk, the 64-local enregistration limit, and
 // array bounds-check elimination for counted loops bounded by ldlen.
 #pragma once

@@ -54,6 +54,14 @@ class Reader {
     return v;
   }
   const char* bytes(std::size_t n) { return data_ + need(n); }
+  /// Throws unless `n` items of `item_bytes` each are left. Records check
+  /// their payload this way before allocating, so a short blob that claims
+  /// a huge array is refused without first reserving its size.
+  void expect(std::size_t n, std::size_t item_bytes) const {
+    if (n > (size_ - pos_) / item_bytes) {
+      throw SerializeError("truncated stream");
+    }
+  }
 
  private:
   std::size_t need(std::size_t n) {
@@ -66,6 +74,11 @@ class Reader {
   std::size_t size_;
   std::size_t pos_ = 0;
 };
+
+/// Bytes one element takes on the wire: a ref element is an i32 record id.
+std::size_t wire_elem_size(ValType elem) {
+  return elem == ValType::Ref ? 4 : elem_size(elem);
+}
 
 }  // namespace
 
@@ -145,6 +158,9 @@ std::vector<char> serialize_graph(VirtualMachine& vm, ObjRef root) {
         body.raw(obj->chars(), static_cast<std::size_t>(obj->length));
         break;
       }
+      case ObjKind::Free:
+        // A swept cell is never reachable from a live root.
+        throw SerializeError("graph reaches a freed object");
     }
   }
   w.u32(static_cast<std::uint32_t>(order.size()));
@@ -171,6 +187,7 @@ ObjRef deserialize_graph(VirtualMachine& vm, VMContext& ctx, const char* data,
   };
   std::vector<ObjRef> objs;
   std::vector<Fixup> fixups;
+  r.expect(count, 1);  // every record starts with its kind byte
   objs.reserve(count);
 
   Heap& heap = vm.heap();
@@ -214,6 +231,7 @@ ObjRef deserialize_graph(VirtualMachine& vm, VMContext& ctx, const char* data,
         const auto elem = static_cast<ValType>(r.u8());
         const std::int32_t len = r.i32();
         if (len < 0) throw SerializeError("bad array length");
+        r.expect(static_cast<std::size_t>(len), wire_elem_size(elem));
         obj = heap.alloc_array(elem, len, &ctx.tlab);
         if (obj == nullptr) throw SerializeError("allocation budget exhausted");
         vm.pin(obj);
@@ -234,12 +252,13 @@ ObjRef deserialize_graph(VirtualMachine& vm, VMContext& ctx, const char* data,
         const std::int32_t rows = r.i32();
         const std::int32_t cols = r.i32();
         if (rows < 0 || cols < 0) throw SerializeError("bad matrix dims");
+        const std::size_t n =
+            static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
+        r.expect(n, wire_elem_size(elem));
         obj = heap.alloc_matrix2(elem, rows, cols, &ctx.tlab);
         if (obj == nullptr) throw SerializeError("allocation budget exhausted");
         vm.pin(obj);
         objs.push_back(obj);
-        const std::size_t n =
-            static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
         if (elem == ValType::Ref) {
           for (std::size_t i = 0; i < n; ++i) fixups.push_back({obj, i, r.i32()});
         } else {

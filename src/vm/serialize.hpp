@@ -15,11 +15,13 @@
 // side tables, the owned IL body) plus per-method tier/hotness records:
 //   [u32 'HPCA'][u32 version][u64 fnv1a checksum of the remainder]
 //   [u32 narchives][per archive: profile, records...]
-// Deserialization is defensive end to end: truncation, bad magic/version,
-// checksum mismatches, out-of-range ids/registers/branch targets and
-// side-table length mismatches all throw SerializeError — and restored IL
-// bodies are re-verified against the local module rather than trusted, so a
-// hostile archive can degrade to a cold miss but never to UB.
+// Deserialization checks structure: truncation, bad magic/version, checksum
+// mismatches, out-of-range ids/registers/branch targets and side-table
+// length mismatches all throw SerializeError, and restored IL bodies are
+// re-verified against the local module. The RegIR itself is not type-checked:
+// a structurally valid forged body (say, CHK_BOUNDS replaced by NOP_R)
+// attaches and runs, so archives must come from a trusted source (ROADMAP:
+// "Make archive loading sound").
 #pragma once
 
 #include <cstdint>
@@ -73,10 +75,11 @@ std::vector<char> serialize_archives(
     const std::vector<std::shared_ptr<const CodeArchive>>& archives);
 
 /// Reconstructs CodeArchives from serialize_archives output. Structural
-/// damage throws SerializeError. Each restored compiled body is re-verified
-/// against `module` (verify_body) — a body whose IL does not verify locally
-/// is dropped to a counters-only record (tier clamped below Optimizing), so
-/// stale or foreign archives degrade to cold compiles, never to bad code.
+/// damage throws SerializeError. Each restored compiled body's IL is
+/// re-verified against `module` (verify_body) — a body whose IL does not
+/// verify locally is dropped to a counters-only record (tier clamped below
+/// Optimizing), so stale archives degrade to cold compiles. The RegIR is
+/// kept as stored: a forged body that passes the structural checks runs.
 std::vector<std::shared_ptr<const CodeArchive>> deserialize_archives(
     Module& module, const char* data, std::size_t size);
 

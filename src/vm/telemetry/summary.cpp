@@ -15,7 +15,9 @@ std::string method_label(const Module* module, std::int32_t id) {
       static_cast<std::size_t>(id) < module->method_count()) {
     return module->method(id).name;
   }
-  return "#" + std::to_string(id);
+  std::string label = "#";
+  label += std::to_string(id);
+  return label;
 }
 
 double ms(std::int64_t ns) { return static_cast<double>(ns) * 1e-6; }

@@ -15,11 +15,6 @@ namespace {
 
 constexpr std::size_t kMaxTraceEvents = 1u << 20;
 
-bool env_default() {
-  const char* e = std::getenv("HPCNET_TELEMETRY");
-  return e != nullptr && *e != '\0' && std::strcmp(e, "0") != 0;
-}
-
 // High-frequency counters live here: one sink per OS thread, plain (non-
 // atomic) increments by the owning thread. The sink mutex guards only vector
 // growth and snapshot merges; the increment fast path never takes it.
@@ -99,7 +94,11 @@ EngineJitTimes& jit_for_current_engine(Hub& h) {
 
 #if HPCNET_TELEMETRY_ENABLED
 namespace detail {
-std::atomic<bool> g_enabled{env_default()};
+// On from startup when HPCNET_TELEMETRY is set to anything but "" or "0".
+std::atomic<bool> g_enabled{[] {
+  const char* e = std::getenv("HPCNET_TELEMETRY");
+  return e != nullptr && *e != '\0' && std::strcmp(e, "0") != 0;
+}()};
 }
 #endif
 
@@ -132,7 +131,6 @@ const char* jit_pass_name(JitPass p) {
     case JitPass::Translate: return "translate";
     case JitPass::Optimize: return "copyprop+dce";
     case JitPass::Cse: return "cse";
-    case JitPass::Licm: return "licm";
     case JitPass::BoundsCheckElim: return "bounds-check-elim";
     case JitPass::VecLower: return "vec-lower";
     case JitPass::Compact: return "compact";

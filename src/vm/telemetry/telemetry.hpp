@@ -74,7 +74,6 @@ enum class JitPass : std::uint8_t {
   Translate,        // stack IL -> register IR
   Optimize,         // copy propagation + DCE rounds
   Cse,              // common-subexpression elimination (EBB value numbering)
-  Licm,             // loop-invariant code motion
   BoundsCheckElim,  // counted-loop bounds-check hoisting
   VecLower,         // vector-loop lowering (VECLOOP superinstructions)
   Compact,          // dead-instruction squeeze + branch retarget

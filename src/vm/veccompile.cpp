@@ -58,7 +58,7 @@ class Lowerer {
 
   int run() {
     int lowered = 0;
-    // Each insertion shifts positions; rescan from scratch (LICM-style).
+    // Each insertion shifts positions; rescan from scratch.
     for (int round = 0; round < 32; ++round) {
       if (!round_once()) break;
       ++lowered;

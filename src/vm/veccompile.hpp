@@ -14,7 +14,7 @@ namespace hpcnet::vm::regir {
 
 /// Borrowed views of the register compiler's pre-compaction state. Branch
 /// `d` fields still hold IL pcs; `il_start` maps IL pc -> code index and is
-/// shifted by insertions exactly like the LICM pass does.
+/// shifted by every insertion.
 struct VecLowerInput {
   std::vector<RInstr>* code = nullptr;
   std::vector<std::int32_t>* il_start = nullptr;

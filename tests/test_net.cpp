@@ -88,7 +88,7 @@ struct Loopback {
                     std::vector<service::TenantConfig> tenants = {{.name =
                                                                        "a"}})
       : spin(build_spin(vm.module(), "net.spin")),
-        svc(vm, profiles::clr11(), {.workers = workers}),
+        svc(vm, profiles::clr11(), {.workers = workers, .warm_start = nullptr}),
         server(vm, svc, open_options()) {
     for (auto& t : tenants) svc.add_tenant(t);
     server.start();
@@ -212,7 +212,8 @@ TEST(Net, RefArgAndResultRoundTrip) {
 TEST(Net, AuthRequiresExactToken) {
   VirtualMachine vm;
   const auto spin = build_spin(vm.module(), "net.spin");
-  ExecutionService svc(vm, profiles::clr11(), {.workers = 1});
+  ExecutionService svc(vm, profiles::clr11(),
+                       {.workers = 1, .warm_start = nullptr});
   svc.add_tenant({.name = "a"});
   svc.add_tenant({.name = "b"});
   VmServer server(vm, svc);  // closed: credentials only
@@ -358,7 +359,8 @@ TEST(Net, DroppedConnectionRejectsPendingJobs) {
   Module& mod = vm.module();
   const auto gate = build_gate(mod, "net.gate");
   const auto spin = build_spin(mod, "net.spin");
-  ExecutionService svc(vm, profiles::clr11(), {.workers = 1});
+  ExecutionService svc(vm, profiles::clr11(),
+                       {.workers = 1, .warm_start = nullptr});
   svc.add_tenant({.name = "gatekeeper"});
   svc.add_tenant({.name = "a"});
   VmServer server(vm, svc, Loopback::open_options());

@@ -136,6 +136,53 @@ TEST_F(SerializeTest, RejectsTruncatedStream) {
   }
 }
 
+/// A graph blob of one record: magic, a record count of 1, the record's
+/// kind and element bytes, then `words`.
+std::vector<char> one_record_blob(const std::vector<std::uint32_t>& words,
+                                  std::uint8_t kind, std::uint8_t elem) {
+  std::vector<char> blob;
+  auto put32 = [&](std::uint32_t v) {
+    const char* p = reinterpret_cast<const char*>(&v);
+    blob.insert(blob.end(), p, p + 4);
+  };
+  put32(0x48504331);  // "HPC1"
+  put32(1);
+  blob.push_back(static_cast<char>(kind));
+  blob.push_back(static_cast<char>(elem));
+  for (std::uint32_t w : words) put32(w);
+  return blob;
+}
+
+TEST_F(SerializeTest, RejectsMatrixWhoseSizeOverflows) {
+  // rows * cols * 8 wraps past 2^64 to 537,552 bytes; the blob carries
+  // exactly that many, so only a size check can tell it is short.
+  auto blob = one_record_blob({2147437309u, 1073764994u},
+                              static_cast<std::uint8_t>(ObjKind::Matrix2),
+                              static_cast<std::uint8_t>(ValType::F64));
+  blob.resize(blob.size() + 537552);
+  EXPECT_THROW(
+      deserialize_graph(vm, vm.main_context(), blob.data(), blob.size()),
+      SerializeError);
+}
+
+TEST_F(SerializeTest, ChecksPayloadBeforeAllocating) {
+  // ~20 bytes claiming i8[2^31-1] (16 GiB), and a count of 2^32-1 records
+  // in a stream holding one: both are refused without touching the heap.
+  const auto big = one_record_blob({0x7fffffffu},
+                                   static_cast<std::uint8_t>(ObjKind::Array),
+                                   static_cast<std::uint8_t>(ValType::I64));
+  auto many = one_record_blob({3u}, static_cast<std::uint8_t>(ObjKind::Array),
+                              static_cast<std::uint8_t>(ValType::I32));
+  std::memset(many.data() + 4, 0xff, 4);
+  for (const auto& blob : {big, many}) {
+    const std::size_t allocs = vm.heap().stats().total_allocations;
+    EXPECT_THROW(
+        deserialize_graph(vm, vm.main_context(), blob.data(), blob.size()),
+        SerializeError);
+    EXPECT_EQ(vm.heap().stats().total_allocations, allocs);
+  }
+}
+
 TEST_F(SerializeTest, RejectsBadMagic) {
   std::vector<char> junk = {'X', 'Y', 'Z', 'W', 0, 0, 0, 0};
   EXPECT_THROW(

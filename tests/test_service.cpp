@@ -102,7 +102,8 @@ std::int32_t build_spawner(Module& mod, const std::string& name) {
 TEST(Service, CompletesJobsAndReportsStats) {
   VirtualMachine vm;
   const auto spin = build_spin(vm.module(), "svc.spin");
-  ExecutionService svc(vm, profiles::clr11(), {.workers = 2});
+  ExecutionService svc(vm, profiles::clr11(),
+                       {.workers = 2, .warm_start = nullptr});
   svc.add_tenant({.name = "a"});
   auto h1 = svc.submit("a", spin, {Slot::from_i32(1000)});
   auto h2 = svc.submit("a", spin, {Slot::from_i32(10)});
@@ -127,7 +128,8 @@ TEST(Service, MalformedSubmissionsAreRejected) {
   bad.add().ret();
   const auto bad_id = bad.finish();
 
-  ExecutionService svc(vm, profiles::clr11(), {.workers = 1});
+  ExecutionService svc(vm, profiles::clr11(),
+                       {.workers = 1, .warm_start = nullptr});
   svc.add_tenant({.name = "a"});
   EXPECT_EQ(svc.submit("a", 9999, {}).wait().outcome, JobOutcome::Rejected);
   EXPECT_EQ(svc.submit("a", spin, {}).wait().outcome,
@@ -148,7 +150,8 @@ TEST(Service, FuelKillIsDeterministicInEveryTier) {
   for (const char* prof : {"rotor10", "mono023", "clr11", "clr11.tiered"}) {
     VirtualMachine vm;
     const auto spin = build_spin(vm.module(), "svc.spin");
-    ExecutionService svc(vm, profiles::by_name(prof), {.workers = 1});
+    ExecutionService svc(vm, profiles::by_name(prof),
+                         {.workers = 1, .warm_start = nullptr});
     svc.add_tenant({.name = "a", .fuel_per_job = kFuel});
     const JobResult r1 =
         svc.submit("a", spin, {Slot::from_i32(1 << 20)}).wait();
@@ -201,7 +204,8 @@ TEST(Service, FuelExhaustedIsCatchableInIl) {
   b.ldloc(res).ret();
   const auto catcher = b.finish();
 
-  ExecutionService svc(vm, profiles::clr11(), {.workers = 1});
+  ExecutionService svc(vm, profiles::clr11(),
+                       {.workers = 1, .warm_start = nullptr});
   svc.add_tenant({.name = "a", .fuel_per_job = 5'000});
   const JobResult r = svc.submit("a", catcher, {Slot::from_i32(1 << 20)}).wait();
   // The fault is a catchable managed exception: the job caught it and
@@ -214,7 +218,8 @@ TEST(Service, FuelExhaustedIsCatchableInIl) {
 TEST(Service, MemoryBudgetKillsArrayCreateDeterministically) {
   VirtualMachine vm;
   const auto alloc = build_alloc_loop(vm.module(), "svc.alloc");
-  ExecutionService svc(vm, profiles::clr11(), {.workers = 1});
+  ExecutionService svc(vm, profiles::clr11(),
+                       {.workers = 1, .warm_start = nullptr});
   // 4096-element f64 arrays are 32 KiB payloads — large-object allocations,
   // charged exact sizes, so the kill lands on the same array every run.
   svc.add_tenant({.name = "a", .memory_budget_bytes = 256u << 10});
@@ -259,7 +264,8 @@ TEST(Service, BudgetedAllocationCannotBypassAccounting) {
   // Service-level: a budgeted job's charged bytes cover everything it
   // allocated. 10 arrays x 32 KiB payload must all be visible in the charge.
   const auto alloc = build_alloc_loop(vm.module(), "svc.alloc");
-  ExecutionService svc(vm, profiles::clr11(), {.workers = 1});
+  ExecutionService svc(vm, profiles::clr11(),
+                       {.workers = 1, .warm_start = nullptr});
   svc.add_tenant({.name = "a", .memory_budget_bytes = 8u << 20});
   const JobResult r =
       svc.submit("a", alloc, {Slot::from_i32(10), Slot::from_i32(4096)}).wait();
@@ -275,7 +281,8 @@ TEST(Service, BudgetedAllocationCannotBypassAccounting) {
 TEST(Service, MeteredJobCannotSpawnThreads) {
   VirtualMachine vm;
   const auto spawner = build_spawner(vm.module(), "svc.spawn");
-  ExecutionService svc(vm, profiles::clr11(), {.workers = 1});
+  ExecutionService svc(vm, profiles::clr11(),
+                       {.workers = 1, .warm_start = nullptr});
   svc.add_tenant({.name = "fuel", .fuel_per_job = 1'000'000});
   svc.add_tenant({.name = "mem", .memory_budget_bytes = 8u << 20});
   svc.add_tenant({.name = "free"});
@@ -336,7 +343,8 @@ TEST(Service, BudgetedRefillChargesFixedGranuleDespiteFragmentation) {
 TEST(Service, OverWideLimitsClampRatherThanKill) {
   VirtualMachine vm;
   const auto spin = build_spin(vm.module(), "svc.spin");
-  ExecutionService svc(vm, profiles::clr11(), {.workers = 1});
+  ExecutionService svc(vm, profiles::clr11(),
+                       {.workers = 1, .warm_start = nullptr});
   svc.add_tenant({.name = "a",
                   .fuel_per_job = std::numeric_limits<std::uint64_t>::max()});
   const JobResult r = svc.submit("a", spin, {Slot::from_i32(200'000)}).wait();
@@ -365,7 +373,8 @@ TEST(Service, CoTenantKillDoesNotPerturbVictimResults) {
   const std::vector<Slot> cargs{Slot::from_i32(200'000)};
   const Slot expected = engine->invoke(ctx, compute, cargs);
 
-  ExecutionService svc(vm, profiles::clr11(), {.workers = 2});
+  ExecutionService svc(vm, profiles::clr11(),
+                       {.workers = 2, .warm_start = nullptr});
   svc.add_tenant({.name = "noisy",
                   .fuel_per_job = 20'000,
                   .memory_budget_bytes = 256u << 10});
@@ -432,7 +441,8 @@ TEST(Service, QueuedRefArgsSurviveMajorCollection) {
   const auto touch = tb.finish();
   const auto gate = build_gate(mod, "svc.gate");
 
-  ExecutionService svc(vm, profiles::clr11(), {.workers = 1});
+  ExecutionService svc(vm, profiles::clr11(),
+                       {.workers = 1, .warm_start = nullptr});
   svc.add_tenant({.name = "a"});
 
   VMContext& ctx = vm.main_context();
@@ -487,7 +497,8 @@ TEST(Service, QueuedRefArgsSurviveMajorCollection) {
 TEST(Service, SubmitRacesCaptureSnapshotSafely) {
   VirtualMachine vm;
   const auto spin = build_spin(vm.module(), "svc.spin");
-  ExecutionService svc(vm, profiles::clr11(), {.workers = 2});
+  ExecutionService svc(vm, profiles::clr11(),
+                       {.workers = 2, .warm_start = nullptr});
   svc.add_tenant({.name = "a"});
   constexpr int kThreads = 8;
   constexpr int kJobsPerThread = 20;
@@ -528,8 +539,9 @@ TEST(Service, DestroyedServiceRejectsQueuedJobs) {
   Pinned lock_pin(vm, lock);
   vm.monitors().enter(ctx, lock);
 
-  auto svc = std::make_unique<ExecutionService>(vm, profiles::clr11(),
-                                                ExecutionService::Options{.workers = 1});
+  auto svc = std::make_unique<ExecutionService>(
+      vm, profiles::clr11(),
+      ExecutionService::Options{.workers = 1, .warm_start = nullptr});
   svc->add_tenant({.name = "a"});
   auto blocker = svc->submit("a", gate, {Slot::from_ref(lock)});
   // Handshake: do not queue the spins (or destroy the service) until the
@@ -566,7 +578,8 @@ TEST(Service, CancelRemovesQueuedJobOnly) {
   Pinned lock_pin(vm, lock);
   vm.monitors().enter(ctx, lock);
 
-  ExecutionService svc(vm, profiles::clr11(), {.workers = 1});
+  ExecutionService svc(vm, profiles::clr11(),
+                       {.workers = 1, .warm_start = nullptr});
   svc.add_tenant({.name = "a"});
   auto blocker = svc.submit("a", gate, {Slot::from_ref(lock)});
   // Wait for pickup: without the handshake, cancel(victim) could race the
@@ -595,7 +608,8 @@ TEST(Service, DeadlineKillsInEveryTier) {
   for (const char* prof : {"rotor10", "mono023", "clr11", "clr11.tiered"}) {
     VirtualMachine vm;
     const auto spin = build_spin(vm.module(), "svc.spin");
-    ExecutionService svc(vm, profiles::by_name(prof), {.workers = 1});
+    ExecutionService svc(vm, profiles::by_name(prof),
+                         {.workers = 1, .warm_start = nullptr});
     svc.add_tenant({.name = "a", .deadline_ms = 50});
     const JobResult r =
         svc.submit("a", spin, {Slot::from_i32(1 << 30)}).wait();
@@ -640,7 +654,8 @@ TEST(Service, DeadlineExceededIsCatchableInIl) {
   b.ldloc(res).ret();
   const auto catcher = b.finish();
 
-  ExecutionService svc(vm, profiles::clr11(), {.workers = 1});
+  ExecutionService svc(vm, profiles::clr11(),
+                       {.workers = 1, .warm_start = nullptr});
   svc.add_tenant({.name = "a", .deadline_ms = 50});
   const JobResult r = svc.submit("a", catcher, {Slot::from_i32(1 << 30)}).wait();
   EXPECT_EQ(r.outcome, JobOutcome::Completed);
@@ -661,7 +676,8 @@ TEST(Service, WeightedSchedulingInterleavesByWeight) {
   Pinned lock_pin(vm, lock);
   vm.monitors().enter(ctx, lock);
 
-  ExecutionService svc(vm, profiles::clr11(), {.workers = 1});
+  ExecutionService svc(vm, profiles::clr11(),
+                       {.workers = 1, .warm_start = nullptr});
   svc.add_tenant({.name = "gate"});
   svc.add_tenant({.name = "heavy", .weight = 3});
   svc.add_tenant({.name = "light", .weight = 1});
@@ -702,9 +718,11 @@ TEST(Service, WeightedSchedulingInterleavesByWeight) {
 TEST(Service, ConcurrentSubmissionFromEightThreads) {
   VirtualMachine vm;
   const auto spin = build_spin(vm.module(), "svc.spin");
-  ExecutionService svc(vm, profiles::clr11(), {.workers = 8});
+  ExecutionService svc(vm, profiles::clr11(),
+                       {.workers = 8, .warm_start = nullptr});
+  const std::string tenants[] = {"t0", "t1", "t2", "t3"};
   for (int t = 0; t < 4; ++t) {
-    svc.add_tenant({.name = "t" + std::to_string(t),
+    svc.add_tenant({.name = tenants[t],
                     .fuel_per_job = t % 2 == 0 ? 0u : 1'000'000u});
   }
   constexpr int kThreads = 8;
@@ -717,8 +735,7 @@ TEST(Service, ConcurrentSubmissionFromEightThreads) {
       for (int j = 0; j < kJobsPerThread; ++j) {
         const int n = 100 + (t * kJobsPerThread + j) % 900;
         const JobResult r =
-            svc.submit("t" + std::to_string(t % 4), spin, {Slot::from_i32(n)})
-                .wait();
+            svc.submit(tenants[t % 4], spin, {Slot::from_i32(n)}).wait();
         if (r.outcome == JobOutcome::Completed &&
             r.value.i32 == (n - 1) * n / 2) {
           ok.fetch_add(1, std::memory_order_relaxed);
@@ -731,7 +748,7 @@ TEST(Service, ConcurrentSubmissionFromEightThreads) {
   EXPECT_EQ(ok.load(), kThreads * kJobsPerThread);
   std::uint64_t total = 0;
   for (int t = 0; t < 4; ++t) {
-    total += svc.tenant_stats("t" + std::to_string(t)).jobs_completed;
+    total += svc.tenant_stats(tenants[t]).jobs_completed;
   }
   EXPECT_EQ(total, static_cast<std::uint64_t>(kThreads * kJobsPerThread));
 }

@@ -750,7 +750,8 @@ TEST(VecExec, FuelKillIsDeterministicAndMatchesScalar) {
     VirtualMachine vm;
     const auto m = build_metered_daxpy(vm.module());
     verify(vm.module(), m);
-    ExecutionService svc(vm, profiles::by_name(prof), {.workers = 1});
+    ExecutionService svc(vm, profiles::by_name(prof),
+                         {.workers = 1, .warm_start = nullptr});
     svc.add_tenant({.name = "a", .fuel_per_job = kFuel});
     const JobResult r1 =
         svc.submit("a", m, {Slot::from_i32(1 << 20)}).wait();

@@ -324,6 +324,31 @@ TEST(VmExceptions, IndexOutOfRange) {
   }
 }
 
+TEST(VmExceptions, OverflowingMatrixSizeThrowsOutOfMemory) {
+  // rows * cols * 8 passes 2^64 and wraps to a 537,552-byte payload. The
+  // heap must refuse the matrix, not hand out a short payload under dims
+  // that every [r, c] bounds check then trusts.
+  VMFixture f;
+  Module& mod = f.vm.module();
+  ILBuilder b(mod, "bigmat", {{ValType::I32, ValType::I32}, ValType::I32});
+  const auto mat = b.add_local(ValType::Ref);
+  b.ldarg(0).ldarg(1).newmat(ValType::F64).stloc(mat);
+  b.ldc_i4(0).ret();
+  const auto m = b.finish();
+  verify(mod, m);
+  VMContext& ctx = f.vm.main_context();
+  const Slot dims[] = {Slot::from_i32(2147437309), Slot::from_i32(1073764994)};
+  for (auto& e : f.engines) {
+    ctx.engine = e.get();
+    try {
+      e->invoke(ctx, m, dims);
+      FAIL() << e->name();
+    } catch (const ManagedException& ex) {
+      EXPECT_EQ(ex.class_name(), "System.OutOfMemoryException") << e->name();
+    }
+  }
+}
+
 TEST(VmExceptions, UnboxWrongTypeThrowsInvalidCast) {
   VMFixture f;
   Module& mod = f.vm.module();
