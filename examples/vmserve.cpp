@@ -8,8 +8,9 @@
 // workers on the chosen engine profile, registers N tenants (each with the
 // given per-job fuel, wall-clock deadline and per-tenant memory budget;
 // 0 = unmetered), submits `rounds` rounds of mixed-size jobs per tenant,
-// then prints every job's outcome and the per-tenant telemetry summary
-// (fuel spent, bytes charged, jobs completed/killed, queue wait).
+// then prints every job's outcome, the per-tenant table (jobs completed/
+// killed, fuel spent, bytes charged, queue wait; from the service's own
+// TenantStats, so it prints in every build) and the telemetry summary.
 //
 // With --listen the local job loop is replaced by the TCP front end
 // (src/vm/net): the service binds 127.0.0.1:PORT (0 = ephemeral; the bound
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "cil/sm.hpp"
+#include "support/reporter.hpp"
 #include "vm/net/server.hpp"
 #include "vm/serialize.hpp"
 #include "vm/service/service.hpp"
@@ -45,7 +47,8 @@ const char* kUsage =
     "  --deadline per-job wall-clock budget in ms        (default 0 = off)\n"
     "  --listen   serve jobs over TCP on 127.0.0.1:PORT (0 = ephemeral)\n"
     "             instead of running the local job loop; runs until stdin\n"
-    "             EOF, then prints the telemetry summary\n"
+    "             EOF, then prints the per-tenant table and the\n"
+    "             telemetry summary\n"
     "  --load-snapshot  warm-boot the service's code cache from FILE\n"
     "  --save-snapshot  after draining, archive the warmed cache to FILE\n";
 
@@ -54,6 +57,40 @@ struct JobSpec {
   std::int32_t method;
   std::vector<hpcnet::vm::Slot> args;
 };
+
+/// One row per tenant from ExecutionService::tenant_stats.
+void print_tenant_table(const hpcnet::vm::service::ExecutionService& svc,
+                        int tenants, bool json) {
+  hpcnet::support::ResultTable t("execution service (per tenant)");
+  for (int i = 0; i < tenants; ++i) {
+    const std::string name = "tenant-" + std::to_string(i);
+    const hpcnet::vm::service::TenantStats st = svc.tenant_stats(name);
+    const std::uint64_t killed = st.jobs_killed_fuel +
+                                 st.jobs_killed_memory +
+                                 st.jobs_killed_deadline;
+    const std::uint64_t jobs =
+        st.jobs_completed + killed + st.jobs_faulted + st.jobs_rejected;
+    t.set(name, "jobs", static_cast<double>(jobs));
+    t.set(name, "completed", static_cast<double>(st.jobs_completed));
+    t.set(name, "killed", static_cast<double>(killed));
+    t.set(name, "faulted", static_cast<double>(st.jobs_faulted));
+    t.set(name, "rejected", static_cast<double>(st.jobs_rejected));
+    t.set(name, "fuel_spent", static_cast<double>(st.fuel_spent));
+    t.set(name, "alloc_mb",
+          static_cast<double>(st.bytes_charged) / (1024.0 * 1024.0));
+    if (jobs != 0) {
+      const double n = static_cast<double>(jobs);
+      t.set(name, "avg_queue_ms", static_cast<double>(st.queue_ns) * 1e-6 / n);
+      t.set(name, "avg_run_ms", static_cast<double>(st.run_ns) * 1e-6 / n);
+    }
+  }
+  if (json) {
+    t.print_json(std::cout);
+  } else {
+    t.print(std::cout);
+    std::cout << "\n";
+  }
+}
 
 }  // namespace
 
@@ -172,6 +209,7 @@ int main(int argc, char** argv) {
     }
     server.stop();
     svc.drain();
+    print_tenant_table(svc, tenants, json);
     telemetry::SummaryOptions opts;
     opts.json = json;
     telemetry::print_summary(std::cout, telemetry::snapshot(),
@@ -222,6 +260,7 @@ int main(int argc, char** argv) {
     }
   }
 
+  print_tenant_table(svc, tenants, json);
   telemetry::SummaryOptions opts;
   opts.json = json;
   telemetry::print_summary(std::cout, telemetry::snapshot(), &machine.module(),

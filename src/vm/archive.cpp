@@ -20,7 +20,6 @@ namespace {
 constexpr std::uint8_t kTierBaseline =
     static_cast<std::uint8_t>(Tier::Baseline);
 constexpr std::uint8_t kTierOpt = static_cast<std::uint8_t>(Tier::Optimizing);
-constexpr std::size_t kOptSlot = static_cast<std::size_t>(Tier::Optimizing);
 
 struct Fnv {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a 64 offset basis
@@ -192,7 +191,7 @@ std::shared_ptr<const CodeArchive> capture_archive(
     CodeCache::Entry& e = cache.entry(id);
     const std::uint8_t tier = e.tier.load(std::memory_order_acquire);
     const std::uint32_t hotness = e.hotness.load(std::memory_order_relaxed);
-    const regir::RCode* raw = e.code[kOptSlot].load(std::memory_order_acquire);
+    const regir::RCode* raw = e.code.load(std::memory_order_acquire);
     if (tier == 0 && hotness == 0 && raw == nullptr) continue;  // cold
     CodeArchive::MethodRecord rec;
     rec.method_id = id;
@@ -232,7 +231,7 @@ ArchiveStats attach_archive(VirtualMachine& vm,
     // Only cold entries are written: a VM that already ran (or raced another
     // attach) keeps its own state. Restored methods therefore always start
     // exactly at the snapshot.
-    if (e.code[kOptSlot].load(std::memory_order_relaxed) != nullptr ||
+    if (e.code.load(std::memory_order_relaxed) != nullptr ||
         e.tier.load(std::memory_order_relaxed) != 0 ||
         e.hotness.load(std::memory_order_relaxed) != 0) {
       continue;
@@ -240,7 +239,7 @@ ArchiveStats attach_archive(VirtualMachine& vm,
     std::uint8_t tier = rec.tier;
     if (rec.code != nullptr) {
       const regir::RCode* raw = cache.adopt(rec.code);  // refcount, not copy
-      e.code[kOptSlot].store(raw, std::memory_order_release);
+      e.code.store(raw, std::memory_order_release);
     } else if (tier > kTierBaseline) {
       tier = kTierBaseline;  // never dispatch to Optimizing without a body
     }

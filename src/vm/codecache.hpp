@@ -36,16 +36,15 @@ struct RCode;
 
 class CodeCache {
  public:
-  static constexpr std::size_t kNumTiers = 3;  // Tier::Interp..Optimizing
-
-  /// Per-method tiering state. Writers publish code[t] (release) before
-  /// raising `tier` (release); readers that load `tier` with acquire and see
-  /// Optimizing may load code[Optimizing] relaxed and rely on it non-null.
+  /// Per-method tiering state. Writers publish `code` (release) before
+  /// raising `tier` to Optimizing (release); readers that load `tier` with
+  /// acquire and see Optimizing may load `code` relaxed and rely on it
+  /// non-null. Only the optimizing tier has a compiled artifact.
   struct Entry {
     std::atomic<std::uint32_t> hotness{0};  // invocations + capped back-edges
     std::atomic<std::uint8_t> tier{0};      // current dispatch Tier
     std::atomic<bool> verified{false};      // method passed IL verification
-    std::atomic<const regir::RCode*> code[kNumTiers] = {};
+    std::atomic<const regir::RCode*> code{nullptr};
     /// Bumped by TieredEngine::request_deopt. Compiled frames capture the
     /// generation at entry and bail out (deopt) at the next back-edge
     /// safepoint once it no longer matches — the hook speculative

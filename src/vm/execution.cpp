@@ -371,7 +371,6 @@ void VirtualMachine::collect(GcKind kind) {
   heap_.gc_prepare(kind);
   mark_roots();
   heap_.gc_perform(kind);
-  gc_count_.fetch_add(1);
   {
     std::lock_guard<std::mutex> lock(park_mu_);
     stw_requested_.store(false);

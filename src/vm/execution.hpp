@@ -54,21 +54,14 @@ enum class TierMode : std::uint8_t { Single, Tiered };
 /// Hotness-driven promotion policy. Hotness is invocations plus capped
 /// back-edge credit, accumulated in the profile's CodeCache entry. Methods
 /// promote at call boundaries; a frame already running when its method gets
-/// hot enters compiled code mid-loop via on-stack replacement once its OWN
-/// taken back edges cross `osr_backedge_trigger` (DESIGN.md §10).
+/// hot enters compiled code mid-loop via on-stack replacement (DESIGN.md
+/// §10). Only what the profiles vary is a field; the optimizing threshold,
+/// back-edge credit cap, tiny-method size and OSR trigger are constants of
+/// the tiered engine (tiered.cpp).
 struct TierPolicy {
   TierMode mode = TierMode::Single;
   Tier max_tier = Tier::Optimizing;      // highest tier this profile reaches
   std::uint32_t baseline_threshold = 8;  // hotness to leave the interpreter
-  std::uint32_t opt_threshold = 64;      // hotness to enter the register JIT
-  std::uint32_t backedge_credit = 64;    // per-frame cap on back-edge hotness
-                                         // flushed at frame exit
-  std::uint32_t tiny_method_il = 8;      // bodies <= this are call-overhead
-                                         // bound: first call goes baseline
-  std::uint32_t osr_backedge_trigger = 1024;  // taken back edges inside ONE
-                                              // frame before OSR kicks in
-                                              // (profiles capped below the
-                                              // optimizing tier never OSR)
 };
 
 /// Optimization-pass flags for the Optimizing tier. Each maps to a behaviour
@@ -359,8 +352,11 @@ class VirtualMachine {
   void join_thread(VMContext& ctx, ObjRef handle);
   std::int32_t thread_class() const { return thread_class_; }
 
-  /// Number of GCs performed (tests).
-  std::size_t gc_count() const { return gc_count_.load(); }
+  /// Number of GCs performed (tests): a view over the heap's counts.
+  std::size_t gc_count() const {
+    const HeapStats s = heap_.stats();
+    return s.minor_collections + s.major_collections;
+  }
 
   // -- Code cache ------------------------------------------------------------
   /// The code cache for `key` (created on first use). Engines key their
@@ -395,7 +391,6 @@ class VirtualMachine {
   std::vector<VMContext*> contexts_;  // all attached threads
   std::uint32_t next_thread_id_ = 1;
   std::mutex world_mu_;  // serializes collections
-  std::atomic<std::size_t> gc_count_{0};
 
   // Managed thread table.
   struct ManagedThread {

@@ -195,7 +195,6 @@ struct HeapStats {
   std::size_t live_objects = 0;
   std::size_t live_bytes = 0;
   std::size_t total_allocations = 0;
-  std::size_t collections = 0;       // minor + major
   std::size_t minor_collections = 0;
   std::size_t major_collections = 0;
   std::size_t swept_objects = 0;
@@ -346,7 +345,8 @@ class Heap {
   /// When the TLAB has a bound AllocBudget that refuses the charge, these
   /// return nullptr (the engines turn that into a managed
   /// OutOfMemoryException). Unmetered allocation returns nullptr only for a
-  /// matrix whose byte size does not fit in size_t.
+  /// matrix whose byte size does not fit in size_t and for a large object
+  /// the system cannot serve.
   ObjRef alloc_instance(std::int32_t class_id, Tlab* tlab = nullptr);
   ObjRef alloc_array(ValType elem, std::int32_t length, Tlab* tlab = nullptr);
   ObjRef alloc_matrix2(ValType elem, std::int32_t rows, std::int32_t cols,
@@ -355,12 +355,10 @@ class Heap {
   ObjRef alloc_string(const std::string& s, Tlab* tlab = nullptr);
 
   /// Collection, under stop-the-world, in three steps driven by the VM:
-  /// gc_prepare retires every registered TLAB (and, before a major, drains
-  /// any lazily-unswept segments so stale mark bits cannot leak into the
-  /// fresh mark); mark() is called once per root and enqueues it on the
-  /// member worklist — for a minor collection, old roots are skipped (the
-  /// old generation is live by assumption; its young edges come from the
-  /// card scan); gc_perform finishes marking (card/remembered scan on minor,
+  /// gc_prepare retires every registered TLAB; mark() is called once per
+  /// root and enqueues it on the member worklist — for a minor collection,
+  /// old roots are skipped (the old generation is live by assumption; its
+  /// young edges come from the card scan); gc_perform finishes marking (card/remembered scan on minor,
   /// parallel drain on major) and sweeps (young windows on minor, the whole
   /// heap — in parallel across segments — on major).
   void gc_prepare(GcKind kind);
@@ -374,16 +372,9 @@ class Heap {
   void set_gc_threads(int n);
   int gc_threads() const;
 
-  /// Experimental fallback (HPCNET_GC_LAZY_SWEEP=1): a major collection
-  /// defers segment sweeping; each TLAB refill that finds no free run sweeps
-  /// one deferred segment. Live counters are approximate until the deferred
-  /// list drains (stats() drains it to stay exact).
-  void set_lazy_sweep(bool on);
-
   /// Counts are exact once the threads whose allocations are being counted
-  /// have been joined (their TLAB pendings are read under the lock). Drains
-  /// any lazily-unswept segments first so the census is exact.
-  HeapStats stats();
+  /// have been joined (their TLAB pendings are read under the lock).
+  HeapStats stats() const;
   std::size_t bytes_since_gc() const;
   void set_threshold(std::size_t bytes);
 
@@ -444,8 +435,6 @@ class Heap {
   void sweep_large_locked(bool minor, std::size_t& freed, std::size_t& swept,
                           std::size_t& promoted);
   void sweep_segment(Segment& seg, SegmentSweep& out);
-  void drain_unswept_locked();
-  bool lazy_sweep_one_locked();
 
   // -- parallel GC worker pool --
   void parallel_mark(int workers);
@@ -506,10 +495,6 @@ class Heap {
   std::vector<ObjRef> worklist_;
   std::size_t worklist_hwm_ = 0;
   GcKind cur_kind_ = GcKind::Major;
-
-  // Lazy sweep-on-refill (gated): segments whose sweep a major deferred.
-  bool lazy_sweep_ = false;
-  std::vector<Segment*> unswept_;
 
   // GC worker pool (lazy-spawned, parked between collections).
   int gc_threads_ = 1;

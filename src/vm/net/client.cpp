@@ -10,6 +10,8 @@
 #include <cstring>
 #include <system_error>
 
+#include "vm/service/service.hpp"
+
 namespace hpcnet::vm::net {
 
 namespace {
@@ -248,7 +250,7 @@ WireResult VmClient::call(std::int32_t method_id,
   }
 }
 
-WireStats VmClient::stats() {
+service::TenantStats VmClient::stats() {
   const std::vector<char> frame = encode_frame(FrameType::Stats, {});
   write_all(fd_, frame.data(), frame.size());
   FrameType type{};
@@ -263,18 +265,7 @@ WireStats VmClient::stats() {
   if (type != FrameType::StatsOk) {
     throw ProtocolError("unexpected reply to STATS");
   }
-  WireStats st;
-  st.jobs_completed = r.u64();
-  st.jobs_killed_fuel = r.u64();
-  st.jobs_killed_memory = r.u64();
-  st.jobs_killed_deadline = r.u64();
-  st.jobs_faulted = r.u64();
-  st.jobs_rejected = r.u64();
-  st.fuel_spent = r.u64();
-  st.bytes_charged = r.u64();
-  st.queue_ns = static_cast<std::int64_t>(r.u64());
-  st.run_ns = static_cast<std::int64_t>(r.u64());
-  return st;
+  return decode_stats_ok(r);
 }
 
 std::vector<char> VmClient::snapshot() {

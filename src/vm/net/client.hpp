@@ -48,19 +48,6 @@ struct WireResult {
   std::int64_t run_ns = 0;
 };
 
-struct WireStats {
-  std::uint64_t jobs_completed = 0;
-  std::uint64_t jobs_killed_fuel = 0;
-  std::uint64_t jobs_killed_memory = 0;
-  std::uint64_t jobs_killed_deadline = 0;
-  std::uint64_t jobs_faulted = 0;
-  std::uint64_t jobs_rejected = 0;
-  std::uint64_t fuel_spent = 0;
-  std::uint64_t bytes_charged = 0;
-  std::int64_t queue_ns = 0;
-  std::int64_t run_ns = 0;
-};
-
 /// Methods throw ProtocolError on a server ERROR frame or a malformed reply,
 /// and std::system_error on socket failures (a server that slams the
 /// connection shut mid-read surfaces as one of the two).
@@ -98,7 +85,9 @@ class VmClient {
   /// call() into a pipelined stream).
   WireResult call(std::int32_t method_id, const std::vector<WireValue>& args);
 
-  WireStats stats();
+  /// STATS: the connection tenant's service::TenantStats (callers include
+  /// vm/service/service.hpp for the definition).
+  service::TenantStats stats();
   /// SNAPSHOT: returns the serialize_archives stream of the service's
   /// warmed code cache (loadable via deserialize_archives).
   std::vector<char> snapshot();

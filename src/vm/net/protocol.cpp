@@ -1,5 +1,7 @@
 #include "vm/net/protocol.hpp"
 
+#include "vm/service/service.hpp"
+
 namespace hpcnet::vm::net {
 
 std::vector<char> encode_frame(FrameType type,
@@ -27,6 +29,36 @@ const char* frame_type_name(FrameType t) {
     case FrameType::Error: return "ERROR";
   }
   return "?";
+}
+
+std::vector<char> encode_stats_ok(const service::TenantStats& st) {
+  WireWriter w;
+  w.u64(st.jobs_completed);
+  w.u64(st.jobs_killed_fuel);
+  w.u64(st.jobs_killed_memory);
+  w.u64(st.jobs_killed_deadline);
+  w.u64(st.jobs_faulted);
+  w.u64(st.jobs_rejected);
+  w.u64(st.fuel_spent);
+  w.u64(st.bytes_charged);
+  w.i64(st.queue_ns);
+  w.i64(st.run_ns);
+  return w.take();
+}
+
+service::TenantStats decode_stats_ok(WireReader& r) {
+  service::TenantStats st;
+  st.jobs_completed = r.u64();
+  st.jobs_killed_fuel = r.u64();
+  st.jobs_killed_memory = r.u64();
+  st.jobs_killed_deadline = r.u64();
+  st.jobs_faulted = r.u64();
+  st.jobs_rejected = r.u64();
+  st.fuel_spent = r.u64();
+  st.bytes_charged = r.u64();
+  st.queue_ns = r.i64();
+  st.run_ns = r.i64();
+  return st;
 }
 
 }  // namespace hpcnet::vm::net

@@ -27,7 +27,8 @@
 //   StatsOk    s->c  [u64 completed][u64 killed fuel][u64 killed memory]
 //                    [u64 killed deadline][u64 faulted][u64 rejected]
 //                    [u64 fuel spent][u64 bytes charged][u64 queue ns]
-//                    [u64 run ns]
+//                    [u64 run ns] — service::TenantStats, written and read
+//                    only by encode_stats_ok/decode_stats_ok
 //   Snapshot   c->s  [] — quiesce the service and capture its code archive
 //   SnapshotOk s->c  [serialize_archives 'HPCA' stream]
 //   Error      s->c  [str message] — protocol violation; the server closes
@@ -43,6 +44,10 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+namespace hpcnet::vm::service {
+struct TenantStats;
+}
 
 namespace hpcnet::vm::net {
 
@@ -158,5 +163,9 @@ class WireReader {
 std::vector<char> encode_frame(FrameType type, const std::vector<char>& payload);
 
 const char* frame_type_name(FrameType t);
+
+/// The StatsOk payload codec (field order in the header comment above).
+std::vector<char> encode_stats_ok(const service::TenantStats& st);
+service::TenantStats decode_stats_ok(WireReader& r);
 
 }  // namespace hpcnet::vm::net

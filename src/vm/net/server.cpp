@@ -625,19 +625,8 @@ void VmServer::Impl::handle_submit(Connection& c, const char* payload,
 }
 
 void VmServer::Impl::handle_stats(Connection& c) {
-  const service::TenantStats st = svc.tenant_stats(c.tenant);
-  WireWriter w;
-  w.u64(st.jobs_completed);
-  w.u64(st.jobs_killed_fuel);
-  w.u64(st.jobs_killed_memory);
-  w.u64(st.jobs_killed_deadline);
-  w.u64(st.jobs_faulted);
-  w.u64(st.jobs_rejected);
-  w.u64(st.fuel_spent);
-  w.u64(st.bytes_charged);
-  w.u64(static_cast<std::uint64_t>(st.queue_ns));
-  w.u64(static_cast<std::uint64_t>(st.run_ns));
-  send_frame(c, FrameType::StatsOk, w.data());
+  send_frame(c, FrameType::StatsOk,
+             encode_stats_ok(svc.tenant_stats(c.tenant)));
 }
 
 void VmServer::Impl::handle_snapshot(Connection& c, VMContext& ctx) {

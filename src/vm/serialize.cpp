@@ -80,6 +80,18 @@ std::size_t wire_elem_size(ValType elem) {
   return elem == ValType::Ref ? 4 : elem_size(elem);
 }
 
+/// Reads a ValType byte, refusing anything past Ref, and None unless the
+/// field may mean "no value". The one range check of both decoders: graph
+/// element types (never None) and archive signatures, IL and registers.
+ValType get_valtype(Reader& r, const char* what, bool allow_none = true) {
+  const std::uint8_t v = r.u8();
+  if (v > static_cast<std::uint8_t>(ValType::Ref) ||
+      (!allow_none && v == static_cast<std::uint8_t>(ValType::None))) {
+    throw SerializeError(std::string(what) + ": bad ValType");
+  }
+  return static_cast<ValType>(v);
+}
+
 }  // namespace
 
 std::vector<char> serialize_graph(VirtualMachine& vm, ObjRef root) {
@@ -228,7 +240,7 @@ ObjRef deserialize_graph(VirtualMachine& vm, VMContext& ctx, const char* data,
         break;
       }
       case ObjKind::Array: {
-        const auto elem = static_cast<ValType>(r.u8());
+        const ValType elem = get_valtype(r, "array element", false);
         const std::int32_t len = r.i32();
         if (len < 0) throw SerializeError("bad array length");
         r.expect(static_cast<std::size_t>(len), wire_elem_size(elem));
@@ -248,7 +260,7 @@ ObjRef deserialize_graph(VirtualMachine& vm, VMContext& ctx, const char* data,
         break;
       }
       case ObjKind::Matrix2: {
-        const auto elem = static_cast<ValType>(r.u8());
+        const ValType elem = get_valtype(r, "matrix element", false);
         const std::int32_t rows = r.i32();
         const std::int32_t cols = r.i32();
         if (rows < 0 || cols < 0) throw SerializeError("bad matrix dims");
@@ -268,7 +280,7 @@ ObjRef deserialize_graph(VirtualMachine& vm, VMContext& ctx, const char* data,
         break;
       }
       case ObjKind::Boxed: {
-        const auto elem = static_cast<ValType>(r.u8());
+        const ValType elem = get_valtype(r, "boxed value", false);
         Slot s;
         s.raw = r.u64();
         obj = heap.alloc_box(elem, s, &ctx.tlab);
@@ -382,14 +394,6 @@ std::string get_str(Reader& r) {
   return std::string(p, n);
 }
 
-ValType get_valtype(Reader& r, const char* what) {
-  const std::uint8_t v = r.u8();
-  if (v > static_cast<std::uint8_t>(ValType::Ref)) {
-    throw SerializeError(std::string("archive: bad ValType in ") + what);
-  }
-  return static_cast<ValType>(v);
-}
-
 [[noreturn]] void bad(const std::string& what) {
   throw SerializeError("archive: " + what);
 }
@@ -436,12 +440,12 @@ MethodDef get_body(Reader& r) {
   m.id = r.i32();
   const std::uint32_t nparams = r.u32();
   for (std::uint32_t i = 0; i < nparams; ++i) {
-    m.sig.params.push_back(get_valtype(r, "param"));
+    m.sig.params.push_back(get_valtype(r, "archive: param"));
   }
-  m.sig.ret = get_valtype(r, "return type");
+  m.sig.ret = get_valtype(r, "archive: return type");
   const std::uint32_t nlocals = r.u32();
   for (std::uint32_t i = 0; i < nlocals; ++i) {
-    m.locals.push_back(get_valtype(r, "local"));
+    m.locals.push_back(get_valtype(r, "archive: local"));
   }
   const std::uint32_t ncode = r.u32();
   for (std::uint32_t i = 0; i < ncode; ++i) {
@@ -449,7 +453,7 @@ MethodDef get_body(Reader& r) {
     const std::uint8_t op = r.u8();
     if (op >= static_cast<std::uint8_t>(Op::COUNT_)) bad("bad IL opcode");
     in.op = static_cast<Op>(op);
-    in.type = get_valtype(r, "instruction type");
+    in.type = get_valtype(r, "archive: instruction type");
     in.a = r.i32();
     in.b = r.i32();
     in.imm.i64 = static_cast<std::int64_t>(r.u64());
@@ -731,7 +735,7 @@ std::shared_ptr<const regir::RCode> get_rcode(Reader& r, Module& module) {
   for (std::uint32_t i = 0; i < nrefs; ++i) rc->ref_regs.push_back(r.i32());
   const std::uint32_t ntypes = r.u32();
   for (std::uint32_t i = 0; i < ntypes; ++i) {
-    rc->reg_types.push_back(get_valtype(r, "register type"));
+    rc->reg_types.push_back(get_valtype(r, "archive: register type"));
   }
   const std::uint32_t nil2 = r.u32();
   for (std::uint32_t i = 0; i < nil2; ++i) rc->il2rpc.push_back(r.i32());

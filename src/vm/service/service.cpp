@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "support/timer.hpp"
-#include "vm/telemetry/telemetry.hpp"
 #include "vm/verifier.hpp"
 
 namespace hpcnet::vm::service {
@@ -492,10 +491,6 @@ void ExecutionService::finish(JobHandle::State& job, JobResult result) {
     st.queue_ns += result.queue_ns;
     st.run_ns += result.run_ns;
   }
-  telemetry::record_service_job(job.tenant,
-                                static_cast<std::uint8_t>(result.outcome),
-                                result.fuel_spent, result.bytes_charged,
-                                result.queue_ns, result.run_ns);
   Completion cb;
   {
     std::lock_guard<std::mutex> lock(job.mu);

@@ -80,9 +80,8 @@ struct TenantConfig {
                                          // under backlog
 };
 
-/// Keep the numeric values stable: telemetry::record_service_job takes the
-/// outcome as uint8 with this exact encoding, and the RESULT frame of the
-/// network protocol (src/vm/net) carries it on the wire.
+/// Keep the numeric values stable: the RESULT frame of the network protocol
+/// (src/vm/net) carries the outcome on the wire as this exact uint8.
 enum class JobOutcome : std::uint8_t {
   Completed = 0,
   KilledFuel = 1,     // fuel budget exhausted (uncaught FuelExhausted)
@@ -124,8 +123,9 @@ class JobHandle {
   std::shared_ptr<State> state_;
 };
 
-/// Service-side per-tenant counters (mirrors telemetry::TenantTelemetry but
-/// always collected, so callers do not need the telemetry switch on).
+/// Per-tenant job accounting: the one tally of finished jobs, always
+/// collected (no telemetry switch). The STATS frame carries it on the wire
+/// and examples/vmserve prints it.
 struct TenantStats {
   std::uint64_t jobs_completed = 0;
   std::uint64_t jobs_killed_fuel = 0;

@@ -122,35 +122,6 @@ std::vector<support::ResultTable> summary_tables(const Snapshot& s,
     tables.push_back(std::move(t));
   }
 
-  if (!s.tenants.empty()) {
-    support::ResultTable t("telemetry: execution service (per tenant)");
-    for (const TenantTelemetry& ten : s.tenants) {
-      t.set(ten.tenant, "jobs", static_cast<double>(ten.jobs_total()));
-      t.set(ten.tenant, "completed", static_cast<double>(ten.jobs_completed));
-      const std::uint64_t killed = ten.jobs_killed_fuel +
-                                   ten.jobs_killed_memory +
-                                   ten.jobs_killed_deadline;
-      t.set(ten.tenant, "killed", static_cast<double>(killed));
-      if (ten.jobs_faulted != 0) {
-        t.set(ten.tenant, "faulted", static_cast<double>(ten.jobs_faulted));
-      }
-      if (ten.jobs_rejected != 0) {
-        t.set(ten.tenant, "rejected", static_cast<double>(ten.jobs_rejected));
-      }
-      t.set(ten.tenant, "fuel_spent", static_cast<double>(ten.fuel_spent));
-      t.set(ten.tenant, "alloc_mb",
-            static_cast<double>(ten.bytes_charged) / (1024.0 * 1024.0));
-      const std::uint64_t jobs = ten.jobs_total();
-      if (jobs != 0) {
-        t.set(ten.tenant, "avg_queue_ms",
-              ms(ten.queue_ns) / static_cast<double>(jobs));
-        t.set(ten.tenant, "avg_run_ms",
-              ms(ten.run_ns) / static_cast<double>(jobs));
-      }
-    }
-    tables.push_back(std::move(t));
-  }
-
   return tables;
 }
 
@@ -171,9 +142,9 @@ void print_summary(std::ostream& os, const Snapshot& s, const Module* module,
   std::snprintf(line, sizeof line,
                 "  collections: %llu (%llu minor, %llu major), allocated "
                 "%.2f MB, freed %.2f MB, swept %llu objects\n",
-                static_cast<unsigned long long>(s.gc.collections),
-                static_cast<unsigned long long>(s.gc.minor_collections),
-                static_cast<unsigned long long>(s.gc.major_collections),
+                static_cast<unsigned long long>(s.gc_pause_ns.count()),
+                static_cast<unsigned long long>(s.minor_pause_ns.count()),
+                static_cast<unsigned long long>(s.major_pause_ns.count()),
                 static_cast<double>(s.gc.bytes_allocated) / (1024.0 * 1024.0),
                 static_cast<double>(s.gc.bytes_freed) / (1024.0 * 1024.0),
                 static_cast<unsigned long long>(s.gc.objects_swept));
@@ -245,11 +216,14 @@ void print_summary(std::ostream& os, const Snapshot& s, const Module* module,
     print_histogram(os, s.archive_load_ns, "archive loads");
   }
 
-  if (s.counter(Counter::VecLoopsEntered) != 0 || !s.vec_kernels.empty()) {
+  if (!s.vec_kernels.empty()) {
     os << "\n== telemetry: vectorization ==\n";
+    std::uint64_t entered = 0;
+    for (const VecKernelTelemetry& v : s.vec_kernels) {
+      entered += v.trips.count();
+    }
     std::snprintf(line, sizeof line, "  vec loops entered: %llu\n",
-                  static_cast<unsigned long long>(
-                      s.counter(Counter::VecLoopsEntered)));
+                  static_cast<unsigned long long>(entered));
     os << line;
     for (const VecKernelTelemetry& v : s.vec_kernels) {
       // Trip counts are iterations, not ns, so print_histogram's ms
@@ -263,28 +237,6 @@ void print_summary(std::ostream& os, const Snapshot& s, const Module* module,
                     v.trips.mean(),
                     static_cast<unsigned long long>(v.trips.min()),
                     static_cast<unsigned long long>(v.trips.max()));
-      os << line;
-    }
-  }
-
-  if (!s.tenants.empty()) {
-    os << "\n== telemetry: execution service ==\n";
-    for (const TenantTelemetry& ten : s.tenants) {
-      std::snprintf(
-          line, sizeof line,
-          "  %s: %llu jobs (%llu ok, %llu fuel-killed, %llu mem-killed, "
-          "%llu deadline-killed, %llu faulted, %llu rejected), fuel %llu, "
-          "alloc %.2f MB\n",
-          ten.tenant.c_str(),
-          static_cast<unsigned long long>(ten.jobs_total()),
-          static_cast<unsigned long long>(ten.jobs_completed),
-          static_cast<unsigned long long>(ten.jobs_killed_fuel),
-          static_cast<unsigned long long>(ten.jobs_killed_memory),
-          static_cast<unsigned long long>(ten.jobs_killed_deadline),
-          static_cast<unsigned long long>(ten.jobs_faulted),
-          static_cast<unsigned long long>(ten.jobs_rejected),
-          static_cast<unsigned long long>(ten.fuel_spent),
-          static_cast<double>(ten.bytes_charged) / (1024.0 * 1024.0));
       os << line;
     }
   }

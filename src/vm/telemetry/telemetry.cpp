@@ -54,7 +54,6 @@ struct Hub {
 
   std::map<std::string, EngineJitTimes> jit;  // by engine name
   std::map<std::int32_t, std::int64_t> method_jit_ns;
-  std::map<std::string, TenantTelemetry> tenants;  // by tenant name
   std::map<std::string, support::Histogram> vec_trips;  // by kernel name
 
   std::vector<TraceEvent> events;
@@ -117,7 +116,6 @@ const char* counter_name(Counter c) {
     case Counter::Deopts: return "deopts";
     case Counter::CardsScanned: return "cards_scanned";
     case Counter::PromotedBytes: return "promoted_bytes";
-    case Counter::VecLoopsEntered: return "vec_loops_entered";
     case Counter::SnapshotMethodsRestored: return "snapshot_methods_restored";
     case Counter::SnapshotMisses: return "snapshot_misses";
     case Counter::kCount: break;
@@ -168,7 +166,6 @@ void reset() {
   h.pending_gc_allocated = h.pending_gc_freed = h.pending_gc_swept = 0;
   h.jit.clear();
   h.method_jit_ns.clear();
-  h.tenants.clear();
   h.vec_trips.clear();
   h.events.clear();
 }
@@ -211,7 +208,6 @@ Snapshot snapshot() {
   out.archive_load_ns = h.archive_load_ns;
   out.gc = h.gc;
   for (const auto& [name, j] : h.jit) out.jit.push_back(j);
-  for (const auto& [name, t] : h.tenants) out.tenants.push_back(t);
   for (const auto& [name, hist] : h.vec_trips) {
     out.vec_kernels.push_back(VecKernelTelemetry{name, hist});
   }
@@ -229,13 +225,6 @@ const MethodProfile* Snapshot::method(std::int32_t id) const {
 const EngineJitTimes* Snapshot::engine_jit(const std::string& engine) const {
   for (const EngineJitTimes& j : jit) {
     if (j.engine == engine) return &j;
-  }
-  return nullptr;
-}
-
-const TenantTelemetry* Snapshot::tenant(const std::string& name) const {
-  for (const TenantTelemetry& t : tenants) {
-    if (t.tenant == name) return &t;
   }
   return nullptr;
 }
@@ -387,14 +376,7 @@ void record_gc_pause(bool major, std::int64_t begin_ns, std::int64_t end_ns) {
   std::lock_guard<std::mutex> lock(h.mu);
   const auto pause = static_cast<std::uint64_t>(end_ns - begin_ns);
   h.gc_pause_ns.record(pause);
-  if (major) {
-    h.major_pause_ns.record(pause);
-    h.gc.major_collections += 1;
-  } else {
-    h.minor_pause_ns.record(pause);
-    h.gc.minor_collections += 1;
-  }
-  h.gc.collections += 1;
+  (major ? h.major_pause_ns : h.minor_pause_ns).record(pause);
   h.gc.bytes_allocated += h.pending_gc_allocated;
   h.gc.bytes_freed += h.pending_gc_freed;
   h.gc.objects_swept += h.pending_gc_swept;
@@ -428,31 +410,8 @@ void record_monitor_contention_end(std::int64_t wait_ns) {
   h.monitor_wait_ns.record(static_cast<std::uint64_t>(wait_ns));
 }
 
-void record_service_job(const std::string& tenant, std::uint8_t outcome,
-                        std::uint64_t fuel_spent, std::uint64_t bytes_charged,
-                        std::int64_t queue_ns, std::int64_t run_ns) {
-  if (!enabled()) return;
-  Hub& h = hub();
-  std::lock_guard<std::mutex> lock(h.mu);
-  TenantTelemetry& t = h.tenants[tenant];
-  if (t.tenant.empty()) t.tenant = tenant;
-  switch (outcome) {
-    case 0: t.jobs_completed += 1; break;
-    case 1: t.jobs_killed_fuel += 1; break;
-    case 2: t.jobs_killed_memory += 1; break;
-    case 3: t.jobs_faulted += 1; break;
-    case 5: t.jobs_killed_deadline += 1; break;
-    default: t.jobs_rejected += 1; break;
-  }
-  t.fuel_spent += fuel_spent;
-  t.bytes_charged += bytes_charged;
-  t.queue_ns += queue_ns;
-  t.run_ns += run_ns;
-}
-
 void record_vec_loop(const char* kernel, std::uint64_t trips) {
   if (!enabled()) return;
-  count(Counter::VecLoopsEntered);
   Hub& h = hub();
   std::lock_guard<std::mutex> lock(h.mu);
   h.vec_trips[kernel].record(trips);

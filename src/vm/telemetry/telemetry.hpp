@@ -57,8 +57,6 @@ enum class Counter : std::uint8_t {
                      // (request_deopt invalidated the method's assumptions)
   CardsScanned,      // dirty cards visited by minor-collection card scans
   PromotedBytes,     // nursery-survivor bytes promoted to the old generation
-  VecLoopsEntered,   // VECLOOP superinstructions whose guards passed (the
-                     // whole loop ran as one vector kernel call)
   SnapshotMethodsRestored,  // archive records attached warm (code/tier/
                             // hotness published into a cold cache entry)
   SnapshotMisses,           // archive records rejected at attach (id, name
@@ -105,10 +103,9 @@ struct MethodProfile {
   std::uint64_t tier_invocations[kNumTiers] = {};  // frames entered per tier
 };
 
+/// Sweep facts summed over collections. How many collections ran is the
+/// count() of Snapshot's pause histograms (one record_gc_pause each).
 struct GcTelemetry {
-  std::uint64_t collections = 0;        // minor + major
-  std::uint64_t minor_collections = 0;  // nursery-only (card-scan) cycles
-  std::uint64_t major_collections = 0;  // full-heap parallel cycles
   std::uint64_t bytes_allocated = 0;  // allocated in the windows before GCs
   std::uint64_t bytes_freed = 0;
   std::uint64_t objects_swept = 0;
@@ -118,32 +115,11 @@ struct GcTelemetry {
   std::int64_t sweep_ns = 0;  // total sweep phase time, all collections
 };
 
-/// Per-tenant execution-service accounting (src/vm/service, DESIGN.md §11).
-/// One row per tenant name, accumulated by record_service_job at job
-/// completion (a low-frequency hook: one hub-lock trip per job).
-struct TenantTelemetry {
-  std::string tenant;
-  std::uint64_t jobs_completed = 0;
-  std::uint64_t jobs_killed_fuel = 0;    // FuelExhausted terminations
-  std::uint64_t jobs_killed_memory = 0;  // allocation-budget terminations
-  std::uint64_t jobs_killed_deadline = 0;  // wall-clock-deadline terminations
-  std::uint64_t jobs_faulted = 0;        // other managed/native faults
-  std::uint64_t jobs_rejected = 0;       // refused before execution
-  std::uint64_t fuel_spent = 0;          // taken backward branches, all jobs
-  std::uint64_t bytes_charged = 0;       // budget bytes charged, all jobs
-  std::int64_t queue_ns = 0;             // total submit -> dispatch wait
-  std::int64_t run_ns = 0;               // total dispatch -> finish time
-
-  std::uint64_t jobs_total() const {
-    return jobs_completed + jobs_killed_fuel + jobs_killed_memory +
-           jobs_killed_deadline + jobs_faulted + jobs_rejected;
-  }
-};
-
 /// Vector-kernel execution stats (DESIGN.md §12): one row per VECLOOP kernel
 /// that actually ran, with a histogram of its trip counts. Accumulated by
 /// record_vec_loop (one hub-lock trip per guarded loop entry — a whole loop's
-/// worth of work, so the lock never dominates).
+/// worth of work, so the lock never dominates). The histogram's count() is
+/// the kernel's loop entries.
 struct VecKernelTelemetry {
   std::string kernel;          // veckernels::kernel_name
   support::Histogram trips;    // iterations per VECLOOP entry
@@ -167,12 +143,12 @@ struct Snapshot {
   support::Histogram gc_pause_ns;        // all collections (minor + major)
   support::Histogram minor_pause_ns;     // nursery collections only
   support::Histogram major_pause_ns;     // full collections only
+                                         // (count() = collections of a kind)
   support::Histogram safepoint_stall_ns;
   support::Histogram monitor_wait_ns;  // contended-acquire wait times
   support::Histogram archive_load_ns;  // per attach_archive call, whole-load
   GcTelemetry gc;
   std::vector<EngineJitTimes> jit;     // one entry per engine that compiled
-  std::vector<TenantTelemetry> tenants;  // sorted by tenant name
   std::vector<VecKernelTelemetry> vec_kernels;  // sorted by kernel name
   std::vector<TraceEvent> events;
 
@@ -181,7 +157,6 @@ struct Snapshot {
   }
   const MethodProfile* method(std::int32_t id) const;
   const EngineJitTimes* engine_jit(const std::string& engine) const;
-  const TenantTelemetry* tenant(const std::string& name) const;
   std::int64_t jit_total_ns() const;
 };
 
@@ -318,17 +293,9 @@ void record_monitor_contention_begin();
 /// ...and has finished, after `wait_ns` parked.
 void record_monitor_contention_end(std::int64_t wait_ns);
 
-/// One execution-service job finished (src/vm/service). `outcome` is the
-/// numeric service::JobOutcome (uint8 to keep this header free of
-/// service.hpp): 0 completed, 1 killed-fuel, 2 killed-memory, 3 faulted,
-/// 4 rejected, 5 killed-deadline. Low-frequency: one hub-lock trip per job.
-void record_service_job(const std::string& tenant, std::uint8_t outcome,
-                        std::uint64_t fuel_spent, std::uint64_t bytes_charged,
-                        std::int64_t queue_ns, std::int64_t run_ns);
-
 /// One VECLOOP superinstruction entered with its guards passing: `trips`
-/// scalar iterations ran as a single `kernel` call. Bumps
-/// Counter::VecLoopsEntered and records the trip count per kernel.
+/// scalar iterations ran as a single `kernel` call. Records the trip count
+/// per kernel.
 void record_vec_loop(const char* kernel, std::uint64_t trips);
 
 /// One attach_archive call finished: `restored` records published warm,

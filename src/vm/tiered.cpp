@@ -4,7 +4,7 @@
 //
 //   unverified --verify--> Interp --h >= baseline_threshold--> Baseline
 //              (tiny bodies skip straight to Baseline on their first call)
-//       Baseline/Interp --h >= opt_threshold--> Optimizing (compiled)
+//       Baseline/Interp --h >= kOptThreshold--> Optimizing (compiled)
 //
 // Hotness h = invocations + per-frame-capped back-edge credit. Methods
 // promote at call boundaries; a frame still RUNNING when its loop gets hot
@@ -40,6 +40,16 @@ namespace hpcnet::vm {
 namespace {
 constexpr std::uint8_t kOpt = static_cast<std::uint8_t>(Tier::Optimizing);
 
+// Promotion constants no profile varies (TierPolicy holds the ones they do).
+constexpr std::uint32_t kOptThreshold = 64;    // hotness to enter the JIT
+constexpr std::uint32_t kBackedgeCredit = 64;  // per-frame cap on back-edge
+                                               // hotness flushed at exit
+constexpr std::uint32_t kTinyMethodIl = 8;     // bodies <= this are call-
+                                               // overhead bound: first call
+                                               // goes baseline
+constexpr std::uint32_t kOsrBackedgeTrigger = 1024;  // taken back edges in
+                                                     // ONE frame before OSR
+
 /// Saturating hotness bump: interp-capped policies (rotor/mono `.tiered`)
 /// never stop counting via the max-tier early-out alone on methods below
 /// their threshold, and an unchecked u32 fetch_add would eventually wrap a
@@ -64,7 +74,7 @@ TieredEngine::TieredEngine(VirtualMachine& vm, EngineProfile profile)
       profile_(std::move(profile)),
       tiered_(profile_.tiering.mode == TierMode::Tiered),
       osr_step_(tiered_ && profile_.tiering.max_tier == Tier::Optimizing
-                    ? profile_.tiering.osr_backedge_trigger
+                    ? kOsrBackedgeTrigger
                     : 0),
       cache_(vm.code_cache(profile_.name)),
       vcache_(vm.code_cache("<verify>")),
@@ -86,7 +96,7 @@ Slot TieredEngine::call(VMContext& ctx, std::int32_t method_id,
   // safe, see CodeCache::Entry.
   if (e.tier.load(std::memory_order_acquire) == kOpt) {
     return opt_->run_compiled(
-        ctx, *e.code[kOpt].load(std::memory_order_relaxed), args);
+        ctx, *e.code.load(std::memory_order_relaxed), args);
   }
   const MethodDef& m = vm_.module().method(method_id);
   if (!tiered_) {
@@ -110,7 +120,7 @@ Slot TieredEngine::call(VMContext& ctx, std::int32_t method_id,
     t = maybe_promote(e, m, h);
     if (t == Tier::Optimizing) {
       return opt_->run_compiled(
-          ctx, *e.code[kOpt].load(std::memory_order_acquire), args);
+          ctx, *e.code.load(std::memory_order_acquire), args);
     }
   }
   return t == Tier::Baseline ? baseline_->execute(ctx, m, args)
@@ -123,10 +133,10 @@ Tier TieredEngine::maybe_promote(CodeCache::Entry& e, const MethodDef& m,
   Tier cur = static_cast<Tier>(e.tier.load(std::memory_order_relaxed));
   Tier want = cur;
   if (cur == Tier::Interp && (hotness >= pol.baseline_threshold ||
-                              m.il_size() <= pol.tiny_method_il)) {
+                              m.il_size() <= kTinyMethodIl)) {
     want = Tier::Baseline;
   }
-  if (hotness >= pol.opt_threshold) want = Tier::Optimizing;
+  if (hotness >= kOptThreshold) want = Tier::Optimizing;
   if (want > pol.max_tier) want = pol.max_tier;
   if (want <= cur) return cur;
   if (want == Tier::Optimizing) {
@@ -150,7 +160,7 @@ Tier TieredEngine::maybe_promote(CodeCache::Entry& e, const MethodDef& m,
 
 const regir::RCode& TieredEngine::compile_optimizing(CodeCache::Entry& e,
                                                      const MethodDef& m) {
-  if (const regir::RCode* rc = e.code[kOpt].load(std::memory_order_acquire)) {
+  if (const regir::RCode* rc = e.code.load(std::memory_order_acquire)) {
     // Fast path doubles as the re-warm after a deopt: request_deopt drops
     // the tier byte but keeps the compiled artifact, so re-promotion just
     // republishes it. The tier byte is a monotonic max here (kOpt is top).
@@ -166,7 +176,7 @@ const regir::RCode& TieredEngine::compile_optimizing(CodeCache::Entry& e,
   ensure_verified(m);
   if (profile_.flags.inline_calls) pre_verify_callees(m);
   std::unique_lock<std::mutex> latch(e.latch);
-  if (const regir::RCode* rc = e.code[kOpt].load(std::memory_order_relaxed)) {
+  if (const regir::RCode* rc = e.code.load(std::memory_order_relaxed)) {
     return *rc;  // lost the race; the winner already published tier + code
   }
   const telemetry::CompileContext tel_engine(profile_.name.c_str());
@@ -174,7 +184,7 @@ const regir::RCode& TieredEngine::compile_optimizing(CodeCache::Entry& e,
   auto compiled = std::make_shared<const regir::RCode>(
       regir::compile(vm_.module(), m, profile_.flags));
   const regir::RCode* rc = cache_.adopt(std::move(compiled));
-  e.code[kOpt].store(rc, std::memory_order_release);
+  e.code.store(rc, std::memory_order_release);
   const std::uint8_t prev =
       e.tier.exchange(kOpt, std::memory_order_release);
   latch.unlock();
@@ -188,7 +198,7 @@ const regir::RCode& TieredEngine::compile_optimizing(CodeCache::Entry& e,
 const regir::RCode* TieredEngine::opt_code_for_call(std::int32_t method_id) {
   CodeCache::Entry& e = cache_.entry(method_id);
   if (e.tier.load(std::memory_order_acquire) == kOpt) {
-    return e.code[kOpt].load(std::memory_order_relaxed);
+    return e.code.load(std::memory_order_relaxed);
   }
   if (tiered_) return nullptr;
   return &compile_optimizing(e, vm_.module().method(method_id));
@@ -202,7 +212,7 @@ void TieredEngine::note_backedges(std::int32_t method_id,
       pol.max_tier) {
     return;
   }
-  const std::uint32_t credit = std::min(taken, pol.backedge_credit);
+  const std::uint32_t credit = std::min(taken, kBackedgeCredit);
   const std::uint32_t h = bump_hotness(e.hotness, credit);
   maybe_promote(e, vm_.module().method(method_id), h);
 }
@@ -221,7 +231,7 @@ const regir::RCode* TieredEngine::osr_code(const MethodDef& body,
   if (osr_step_ == 0) return nullptr;
   CodeCache::Entry& e = cache_.osr_entry(&body, header_pc);
   if (e.tier.load(std::memory_order_acquire) == kOpt) {
-    return e.code[kOpt].load(std::memory_order_relaxed);
+    return e.code.load(std::memory_order_relaxed);
   }
   // Promote the method itself first (under ITS latch, released before the
   // continuation's latch below — never two latches at once) so future calls
@@ -237,7 +247,7 @@ const regir::RCode* TieredEngine::osr_code(const MethodDef& body,
   std::shared_ptr<const MethodDef> cont = continuation_for(body, header_pc);
   if (cont == nullptr) return nullptr;
   std::unique_lock<std::mutex> latch(e.latch);
-  if (const regir::RCode* rc = e.code[kOpt].load(std::memory_order_relaxed)) {
+  if (const regir::RCode* rc = e.code.load(std::memory_order_relaxed)) {
     return rc;  // lost the race; the winner already published
   }
   const telemetry::CompileContext tel_engine(profile_.name.c_str());
@@ -248,7 +258,7 @@ const regir::RCode* TieredEngine::osr_code(const MethodDef& body,
   auto compiled = std::make_shared<const regir::RCode>(
       regir::compile(vm_.module(), *cont, profile_.flags));
   const regir::RCode* rc = cache_.adopt(std::move(compiled));
-  e.code[kOpt].store(rc, std::memory_order_release);
+  e.code.store(rc, std::memory_order_release);
   e.tier.store(kOpt, std::memory_order_release);
   latch.unlock();
   telemetry::record_compile(body.id, cont->name, compile_begin,

@@ -39,6 +39,21 @@ using net::WireWriter;
 using service::ExecutionService;
 using service::JobOutcome;
 
+/// All ten TenantStats fields, the StatsOk payload.
+void expect_same_stats(const service::TenantStats& got,
+                       const service::TenantStats& want) {
+  EXPECT_EQ(got.jobs_completed, want.jobs_completed);
+  EXPECT_EQ(got.jobs_killed_fuel, want.jobs_killed_fuel);
+  EXPECT_EQ(got.jobs_killed_memory, want.jobs_killed_memory);
+  EXPECT_EQ(got.jobs_killed_deadline, want.jobs_killed_deadline);
+  EXPECT_EQ(got.jobs_faulted, want.jobs_faulted);
+  EXPECT_EQ(got.jobs_rejected, want.jobs_rejected);
+  EXPECT_EQ(got.fuel_spent, want.fuel_spent);
+  EXPECT_EQ(got.bytes_charged, want.bytes_charged);
+  EXPECT_EQ(got.queue_ns, want.queue_ns);
+  EXPECT_EQ(got.run_ns, want.run_ns);
+}
+
 /// sum(0..n-1), one taken backward branch per iteration (fuel = n).
 std::int32_t build_spin(Module& mod, const std::string& name) {
   ILBuilder b(mod, name, {{ValType::I32}, ValType::I32});
@@ -305,11 +320,37 @@ TEST(Net, StatsOverTcp) {
   EXPECT_EQ(c.call(lb.spin, {WireValue::from_i32(10)}).outcome, 0);
   EXPECT_EQ(c.call(lb.spin, {WireValue::from_i32(10)}).outcome, 0);
   EXPECT_EQ(c.call(lb.spin, {WireValue::from_i32(1 << 20)}).outcome, 1);
-  const net::WireStats st = c.stats();
+  const service::TenantStats st = c.stats();
   EXPECT_EQ(st.jobs_completed, 2u);
   EXPECT_EQ(st.jobs_killed_fuel, 1u);
   EXPECT_GT(st.fuel_spent, 0u);
   EXPECT_GT(st.run_ns, 0);
+  // The wire hands back the service's own tally, field for field.
+  expect_same_stats(st, lb.svc.tenant_stats("a"));
+}
+
+TEST(Net, StatsOkCodecKeepsFieldOrder) {
+  // The ten fields travel as little-endian u64s in declaration order.
+  service::TenantStats st;
+  st.jobs_completed = 1;
+  st.jobs_killed_fuel = 2;
+  st.jobs_killed_memory = 3;
+  st.jobs_killed_deadline = 4;
+  st.jobs_faulted = 5;
+  st.jobs_rejected = 6;
+  st.fuel_spent = 7;
+  st.bytes_charged = 8;
+  st.queue_ns = 9;
+  st.run_ns = 10;
+  const std::vector<char> payload = net::encode_stats_ok(st);
+  ASSERT_EQ(payload.size(), 80u);
+  WireReader words(payload.data(), payload.size());
+  for (std::uint64_t want = 1; want <= 10; ++want) {
+    EXPECT_EQ(words.u64(), want);
+  }
+  WireReader r(payload.data(), payload.size());
+  expect_same_stats(net::decode_stats_ok(r), st);
+  EXPECT_TRUE(r.empty());
 }
 
 TEST(Net, SnapshotOverTcpIsALoadableArchive) {
@@ -463,7 +504,7 @@ TEST(Net, ByteFlipFuzzNeverKillsTheServer) {
   // Whatever the mutants did, accounting is still coherent: nothing is
   // queued forever and STATS still answers.
   VmClient c = lb.client();
-  const net::WireStats st = c.stats();
+  const service::TenantStats st = c.stats();
   EXPECT_GE(st.jobs_completed, 1u);  // at least the liveness probes
 }
 

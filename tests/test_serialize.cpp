@@ -183,6 +183,31 @@ TEST_F(SerializeTest, ChecksPayloadBeforeAllocating) {
   }
 }
 
+TEST_F(SerializeTest, RejectsElementTypeOutOfRange) {
+  // Each record carries a full payload for its claimed shape, so only the
+  // element-type check can refuse it: byte 9 is past ValType::Ref, and
+  // serialize_graph never writes None (the verifier rejects NEWARR/NEWMAT
+  // of None and BOX of a non-numeric type).
+  const std::uint8_t array = static_cast<std::uint8_t>(ObjKind::Array);
+  const std::uint8_t matrix = static_cast<std::uint8_t>(ObjKind::Matrix2);
+  const std::uint8_t boxed = static_cast<std::uint8_t>(ObjKind::Boxed);
+  for (std::uint8_t elem : {std::uint8_t{9},
+                            static_cast<std::uint8_t>(ValType::None)}) {
+    const std::vector<std::vector<char>> blobs = {
+        one_record_blob({1u, 0u, 0u}, array, elem),          // len 1
+        one_record_blob({1u, 1u, 0u, 0u}, matrix, elem),     // 1 x 1
+        one_record_blob({0u, 0u}, boxed, elem),              // raw slot
+    };
+    for (const auto& blob : blobs) {
+      EXPECT_THROW(
+          deserialize_graph(vm, vm.main_context(), blob.data(), blob.size()),
+          SerializeError)
+          << "kind " << int(static_cast<std::uint8_t>(blob[8])) << " elem "
+          << int(elem);
+    }
+  }
+}
+
 TEST_F(SerializeTest, RejectsBadMagic) {
   std::vector<char> junk = {'X', 'Y', 'Z', 'W', 0, 0, 0, 0};
   EXPECT_THROW(

@@ -426,7 +426,7 @@ std::int32_t build_gate(Module& mod, const std::string& name) {
 // a major collection between submit and pickup swept an otherwise-
 // unreachable argument graph and the job later dereferenced freed memory.
 // submit now pins the graph until worker pickup. Census is exact:
-// heap.stats().live_objects drains the lazy sweep list.
+// heap.stats().live_objects is recomputed by every major sweep.
 TEST(Service, QueuedRefArgsSurviveMajorCollection) {
   VirtualMachine vm;
   Module& mod = vm.module();

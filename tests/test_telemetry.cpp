@@ -137,10 +137,17 @@ TEST_F(TelemetryTest, GcPauseCountMatchesHeapCollections) {
     vm.heap().alloc_array(ValType::F64, 64);
   }
   ASSERT_GT(vm.gc_count(), before);
+  vm.collect();  // at least one of each kind
 
   const telemetry::Snapshot s = telemetry::snapshot();
-  EXPECT_EQ(s.gc.collections, vm.gc_count());
-  EXPECT_EQ(s.gc_pause_ns.count(), s.gc.collections);
+  const HeapStats hs = vm.heap().stats();
+  ASSERT_GT(hs.minor_collections, 0u);
+  ASSERT_GT(hs.major_collections, 0u);
+  EXPECT_EQ(s.gc_pause_ns.count(),
+            hs.minor_collections + hs.major_collections);
+  EXPECT_EQ(s.minor_pause_ns.count(), hs.minor_collections);
+  EXPECT_EQ(s.major_pause_ns.count(), hs.major_collections);
+  EXPECT_EQ(vm.gc_count(), hs.minor_collections + hs.major_collections);
   // The arrays are unreferenced garbage, so collections must have freed some.
   EXPECT_GT(s.gc.bytes_freed, 0u);
   EXPECT_GT(s.gc.objects_swept, 0u);
@@ -152,7 +159,7 @@ TEST_F(TelemetryTest, GcPauseCountMatchesHeapCollections) {
   for (const auto& ev : s.events) {
     if (std::string(ev.cat) == "gc") ++gc_events;
   }
-  EXPECT_EQ(gc_events, s.gc.collections);
+  EXPECT_EQ(gc_events, s.gc_pause_ns.count());
 }
 
 TEST_F(TelemetryTest, MonitorAcquiresCounted) {

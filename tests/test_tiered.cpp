@@ -21,8 +21,8 @@
 namespace hpcnet::test {
 namespace {
 
-/// Straight-line body, long enough (> tiny_method_il) to start in the
-/// interpreter: f(x) = ((x*7 + 3) * 5 - x) ^ 2.
+/// Straight-line body, long enough (> kTinyMethodIl, tiered.cpp) to start in
+/// the interpreter: f(x) = ((x*7 + 3) * 5 - x) ^ 2.
 std::int32_t build_straightline(Module& mod, const std::string& name) {
   ILBuilder b(mod, name, {{ValType::I32}, ValType::I32});
   b.ldarg(0).ldc_i4(7).mul().ldc_i4(3).add();
@@ -89,7 +89,7 @@ TEST(Tiered, LoopHeavyMethodPromotesAfterOneInvocation) {
   const auto m = build_loop(vm.module(), "tier_loop");
   TieredEngine eng(vm, profiles::tiered(profiles::clr11()));
   VMContext& ctx = vm.main_context();
-  Slot arg = Slot::from_i32(100);  // 100 back edges >> opt_threshold
+  Slot arg = Slot::from_i32(100);  // 100 back edges >> kOptThreshold
 
   const Slot first = eng.invoke(ctx, m, std::span<const Slot>(&arg, 1));
   // Frame-exit back-edge flush: 1 invocation + capped credit crosses the
@@ -103,7 +103,7 @@ TEST(Tiered, LoopHeavyMethodPromotesAfterOneInvocation) {
 TEST(Tiered, TinyMethodSkipsStraightToBaseline) {
   VirtualMachine vm;
   ILBuilder b(vm.module(), "tier_tiny", {{ValType::I32}, ValType::I32});
-  b.ldarg(0).ldc_i4(1).add().ret();  // 4 instructions <= tiny_method_il
+  b.ldarg(0).ldc_i4(1).add().ret();  // 4 instructions <= kTinyMethodIl
   const auto m = b.finish();
 
   TieredEngine eng(vm, profiles::tiered(profiles::clr11()));
@@ -370,7 +370,7 @@ TEST(Tiered, OsrPromotesWithinSingleInvocation) {
   VMContext& ctx = vm.main_context();
 
   telemetry::reset();
-  // One cold call whose frame alone crosses osr_backedge_trigger many times
+  // One cold call whose frame alone crosses kOsrBackedgeTrigger many times
   // over: promotion may not wait for the invocation boundary.
   Slot arg = Slot::from_i32(200'000);
   const Slot r = eng.invoke(ctx, m, std::span<const Slot>(&arg, 1));
@@ -479,7 +479,7 @@ TEST(Tiered, HotLoopExitingViaThrowStillPromotes) {
 
   TieredEngine eng(vm, profiles::tiered(profiles::clr11()));
   VMContext& ctx = vm.main_context();
-  Slot arg = Slot::from_i32(100);  // 100 back edges >> opt_threshold credit
+  Slot arg = Slot::from_i32(100);  // 100 back edges >> kOptThreshold credit
   for (int call = 0; call < 3; ++call) {
     EXPECT_THROW(eng.invoke(ctx, m, std::span<const Slot>(&arg, 1)),
                  ManagedException)

@@ -5,6 +5,15 @@
 
 #include "vm_test_util.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+// UnservableLargeMatrixThrowsOutOfMemory asks the allocator for 2^63 bytes.
+// ASan aborts on such a request by default; with this option it returns
+// null like the system allocator, and the heap's refusal path is what runs.
+extern "C" const char* __asan_default_options() {
+  return "allocator_may_return_null=1";
+}
+#endif
+
 namespace hpcnet::test {
 namespace {
 
@@ -338,6 +347,32 @@ TEST(VmExceptions, OverflowingMatrixSizeThrowsOutOfMemory) {
   verify(mod, m);
   VMContext& ctx = f.vm.main_context();
   const Slot dims[] = {Slot::from_i32(2147437309), Slot::from_i32(1073764994)};
+  for (auto& e : f.engines) {
+    ctx.engine = e.get();
+    try {
+      e->invoke(ctx, m, dims);
+      FAIL() << e->name();
+    } catch (const ManagedException& ex) {
+      EXPECT_EQ(ex.class_name(), "System.OutOfMemoryException") << e->name();
+    }
+  }
+}
+
+TEST(VmExceptions, UnservableLargeMatrixThrowsOutOfMemory) {
+  // (2^31 - 1) * 2^30 * 4 bytes is just under 2^63: representable in
+  // size_t, so it passes the overflow check, but no system can serve it.
+  // The large-object path must refuse it like a spent budget, not let
+  // std::bad_alloc escape the engine.
+  VMFixture f;
+  Module& mod = f.vm.module();
+  ILBuilder b(mod, "hugemat", {{ValType::I32, ValType::I32}, ValType::I32});
+  const auto mat = b.add_local(ValType::Ref);
+  b.ldarg(0).ldarg(1).newmat(ValType::I32).stloc(mat);
+  b.ldc_i4(0).ret();
+  const auto m = b.finish();
+  verify(mod, m);
+  VMContext& ctx = f.vm.main_context();
+  const Slot dims[] = {Slot::from_i32(2147483647), Slot::from_i32(1 << 30)};
   for (auto& e : f.engines) {
     ctx.engine = e.get();
     try {
