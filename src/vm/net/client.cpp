@@ -50,43 +50,6 @@ bool read_exact(int fd, void* data, std::size_t size, bool eof_ok) {
 
 }  // namespace
 
-WireValue WireValue::from_i32(std::int32_t v) {
-  WireValue w;
-  w.type = ValType::I32;
-  Slot s = Slot::from_i32(v);
-  w.raw = s.raw;
-  return w;
-}
-
-WireValue WireValue::from_i64(std::int64_t v) {
-  WireValue w;
-  w.type = ValType::I64;
-  Slot s = Slot::from_i64(v);
-  w.raw = s.raw;
-  return w;
-}
-
-WireValue WireValue::from_f64(double v) {
-  WireValue w;
-  w.type = ValType::F64;
-  Slot s = Slot::from_f64(v);
-  w.raw = s.raw;
-  return w;
-}
-
-WireValue WireValue::from_graph(std::vector<char> serialized) {
-  WireValue w;
-  w.type = ValType::Ref;
-  w.blob = std::move(serialized);
-  return w;
-}
-
-double WireValue::as_f64() const {
-  Slot s;
-  s.raw = raw;
-  return s.f64;
-}
-
 VmClient::~VmClient() { close(); }
 
 void VmClient::close() {
@@ -125,11 +88,7 @@ void VmClient::send_raw(const void* data, std::size_t size) {
 bool VmClient::recv_frame(FrameType& type, std::vector<char>& payload) {
   char head[4];
   if (!read_exact(fd_, head, sizeof head, /*eof_ok=*/true)) return false;
-  WireReader hr(head, sizeof head);
-  const std::uint32_t len = hr.u32();
-  if (len < 1 || len > kMaxFramePayload) {
-    throw ProtocolError("bad frame length from server");
-  }
+  const std::uint32_t len = frame_length(head);
   char tbyte;
   read_exact(fd_, &tbyte, 1, /*eof_ok=*/false);
   type = static_cast<FrameType>(tbyte);
@@ -138,107 +97,44 @@ bool VmClient::recv_frame(FrameType& type, std::vector<char>& payload) {
   return true;
 }
 
-void VmClient::hello(const std::string& tenant, const std::string& token) {
-  WireWriter w;
-  w.u32(kMagic);
-  w.u32(kVersion);
-  w.str(tenant);
-  w.str(token);
-  const std::vector<char> frame = encode_frame(FrameType::Hello, w.data());
+void VmClient::send_frame(FrameType type, const std::vector<char>& payload) {
+  const std::vector<char> frame = encode_frame(type, payload);
   write_all(fd_, frame.data(), frame.size());
+}
 
+std::vector<char> VmClient::recv_reply(FrameType want) {
   FrameType type{};
   std::vector<char> payload;
   if (!recv_frame(type, payload)) {
-    throw ProtocolError("server closed connection during HELLO");
+    throw ProtocolError(std::string("server closed connection while awaiting ") +
+                        frame_type_name(want));
   }
   if (type == FrameType::Error) {
     WireReader r(payload.data(), payload.size());
-    throw ProtocolError("server refused HELLO: " + r.str());
+    throw ProtocolError("server error: " + decode_error(r));
   }
-  if (type != FrameType::HelloOk) {
-    throw ProtocolError("unexpected reply to HELLO");
+  if (type != want) {
+    throw ProtocolError(std::string("unexpected ") + frame_type_name(type) +
+                        " while awaiting " + frame_type_name(want));
   }
+  return payload;
 }
 
-std::vector<char> VmClient::encode_value(const WireValue& v) const {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(v.type));
-  switch (v.type) {
-    case ValType::I32:
-    case ValType::I64:
-    case ValType::F32:
-    case ValType::F64:
-      w.u64(v.raw);
-      break;
-    case ValType::Ref:
-      w.u32(static_cast<std::uint32_t>(v.blob.size()));
-      w.bytes(v.blob.data(), v.blob.size());
-      break;
-    default:
-      throw ProtocolError("cannot encode a value of this type");
-  }
-  return w.take();
+void VmClient::hello(const std::string& tenant, const std::string& token) {
+  send_frame(FrameType::Hello, encode_hello(tenant, token));
+  recv_reply(FrameType::HelloOk);
 }
 
 std::uint64_t VmClient::send_submit(std::int32_t method_id,
                                     const std::vector<WireValue>& args) {
-  const std::uint64_t id = next_id_++;
-  WireWriter w;
-  w.u64(id);
-  w.i32(method_id);
-  w.u8(static_cast<std::uint8_t>(args.size()));
-  for (const WireValue& a : args) {
-    const std::vector<char> enc = encode_value(a);
-    w.bytes(enc.data(), enc.size());
-  }
-  const std::vector<char> frame = encode_frame(FrameType::Submit, w.data());
-  write_all(fd_, frame.data(), frame.size());
-  return id;
+  send_frame(FrameType::Submit, encode_submit(next_id_, method_id, args));
+  return next_id_++;
 }
 
 WireResult VmClient::recv_result() {
-  FrameType type{};
-  std::vector<char> payload;
-  if (!recv_frame(type, payload)) {
-    throw ProtocolError("server closed connection while awaiting RESULT");
-  }
+  const std::vector<char> payload = recv_reply(FrameType::Result);
   WireReader r(payload.data(), payload.size());
-  if (type == FrameType::Error) {
-    throw ProtocolError("server error: " + r.str());
-  }
-  if (type != FrameType::Result) {
-    throw ProtocolError("unexpected frame while awaiting RESULT");
-  }
-  WireResult res;
-  res.request_id = r.u64();
-  res.outcome = r.u8();
-  const auto tag = static_cast<ValType>(r.u8());
-  res.value.type = tag;
-  switch (tag) {
-    case ValType::I32:
-    case ValType::I64:
-    case ValType::F32:
-    case ValType::F64:
-      res.value.raw = r.u64();
-      break;
-    case ValType::Ref: {
-      const std::uint32_t len = r.u32();
-      const char* blob = r.bytes(len);
-      res.value.blob.assign(blob, blob + len);
-      break;
-    }
-    case ValType::None:
-      break;
-    default:
-      throw ProtocolError("bad value tag in RESULT");
-  }
-  res.error = r.str();
-  res.fuel_spent = r.u64();
-  res.bytes_charged = r.u64();
-  res.queue_ns = static_cast<std::int64_t>(r.u64());
-  res.run_ns = static_cast<std::int64_t>(r.u64());
-  return res;
+  return decode_result(r);
 }
 
 WireResult VmClient::call(std::int32_t method_id,
@@ -251,39 +147,15 @@ WireResult VmClient::call(std::int32_t method_id,
 }
 
 service::TenantStats VmClient::stats() {
-  const std::vector<char> frame = encode_frame(FrameType::Stats, {});
-  write_all(fd_, frame.data(), frame.size());
-  FrameType type{};
-  std::vector<char> payload;
-  if (!recv_frame(type, payload)) {
-    throw ProtocolError("server closed connection while awaiting STATS_OK");
-  }
+  send_frame(FrameType::Stats, {});
+  const std::vector<char> payload = recv_reply(FrameType::StatsOk);
   WireReader r(payload.data(), payload.size());
-  if (type == FrameType::Error) {
-    throw ProtocolError("server error: " + r.str());
-  }
-  if (type != FrameType::StatsOk) {
-    throw ProtocolError("unexpected reply to STATS");
-  }
   return decode_stats_ok(r);
 }
 
 std::vector<char> VmClient::snapshot() {
-  const std::vector<char> frame = encode_frame(FrameType::Snapshot, {});
-  write_all(fd_, frame.data(), frame.size());
-  FrameType type{};
-  std::vector<char> payload;
-  if (!recv_frame(type, payload)) {
-    throw ProtocolError("server closed connection while awaiting SNAPSHOT_OK");
-  }
-  if (type == FrameType::Error) {
-    WireReader r(payload.data(), payload.size());
-    throw ProtocolError("server error: " + r.str());
-  }
-  if (type != FrameType::SnapshotOk) {
-    throw ProtocolError("unexpected reply to SNAPSHOT");
-  }
-  return payload;
+  send_frame(FrameType::Snapshot, {});
+  return recv_reply(FrameType::SnapshotOk);
 }
 
 }  // namespace hpcnet::vm::net

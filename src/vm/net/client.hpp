@@ -15,38 +15,8 @@
 #include <vector>
 
 #include "vm/net/protocol.hpp"
-#include "vm/value.hpp"
 
 namespace hpcnet::vm::net {
-
-/// A typed argument or result crossing the wire. Scalars live in `raw`
-/// (the 8-byte Slot image); Ref values carry a serialize_graph blob
-/// (empty = null).
-struct WireValue {
-  ValType type = ValType::None;
-  std::uint64_t raw = 0;
-  std::vector<char> blob;
-
-  static WireValue from_i32(std::int32_t v);
-  static WireValue from_i64(std::int64_t v);
-  static WireValue from_f64(double v);
-  static WireValue from_graph(std::vector<char> serialized);
-
-  std::int32_t as_i32() const { return static_cast<std::int32_t>(raw); }
-  std::int64_t as_i64() const { return static_cast<std::int64_t>(raw); }
-  double as_f64() const;
-};
-
-struct WireResult {
-  std::uint64_t request_id = 0;
-  std::uint8_t outcome = 0;  // numeric service::JobOutcome
-  WireValue value;
-  std::string error;
-  std::uint64_t fuel_spent = 0;
-  std::uint64_t bytes_charged = 0;
-  std::int64_t queue_ns = 0;
-  std::int64_t run_ns = 0;
-};
 
 /// Methods throw ProtocolError on a server ERROR frame or a malformed reply,
 /// and std::system_error on socket failures (a server that slams the
@@ -76,6 +46,7 @@ class VmClient {
   void hello(const std::string& tenant, const std::string& token);
 
   /// Writes a SUBMIT frame and returns its request id without waiting.
+  /// More than 255 args throws ProtocolError with nothing sent.
   std::uint64_t send_submit(std::int32_t method_id,
                             const std::vector<WireValue>& args);
   /// Next RESULT frame, in completion order.
@@ -101,7 +72,10 @@ class VmClient {
   bool recv_frame(FrameType& type, std::vector<char>& payload);
 
  private:
-  std::vector<char> encode_value(const WireValue& v) const;
+  void send_frame(FrameType type, const std::vector<char>& payload);
+  /// The payload of the next frame, which must be a `want`: an ERROR frame
+  /// throws with the server's message, EOF or any other type throws too.
+  std::vector<char> recv_reply(FrameType want);
   int fd_ = -1;
   std::uint64_t next_id_ = 1;
 };

@@ -1,6 +1,8 @@
 // Wire protocol for the network front end (DESIGN.md §14): a length-prefixed,
 // versioned binary framing shared by the server event loop (server.hpp) and
-// the blocking client (client.hpp).
+// the blocking client (client.hpp). protocol.cpp is the only place that
+// knows a payload layout: the server and the client call the encode/decode
+// pairs below and never pack a field themselves.
 //
 // Every frame is
 //
@@ -8,31 +10,29 @@
 //
 // with `length` counting everything after the length field (so length >= 1)
 // and capped at kMaxFramePayload — a peer announcing more is cut off before
-// it can make the receiver buffer unbounded. All integers are little-endian,
-// encoded byte by byte (the codec never reinterprets struct memory, so the
-// format is identical across hosts). Strings and byte blobs are [u32 len]
-// [bytes]. Frame types:
+// it can make the receiver buffer unbounded. Integers, strings ([u32 len]
+// [bytes]) and blobs go through the VM's one byte codec (vm/wire.hpp), so
+// the format is little-endian on every host. Frame types:
 //
 //   Hello      c->s  [u32 magic 'HPCN'][u32 version][str tenant][str token]
 //   HelloOk    s->c  [u32 version]
-//   Submit     c->s  [u64 request id][i32 method id][u8 argc][args...]
-//                    each arg: [u8 ValType][8-byte raw slot] for scalars, or
-//                    [u8 ValType::Ref][u32 len][serialize_graph blob] for an
-//                    object graph (len 0 = null ref)
+//   Submit     c->s  [u64 request id][i32 method id][u8 argc][values...]
 //   Result     s->c  [u64 request id][u8 JobOutcome][value][str error]
 //                    [u64 fuel spent][u64 bytes charged][u64 queue ns]
-//                    [u64 run ns]; value encoded like an arg, tag
-//                    ValType::None when there is none
+//                    [u64 run ns]; the value is tagged ValType::None when
+//                    there is none
 //   Stats      c->s  [] — per-tenant counters for the connection's tenant
 //   StatsOk    s->c  [u64 completed][u64 killed fuel][u64 killed memory]
 //                    [u64 killed deadline][u64 faulted][u64 rejected]
 //                    [u64 fuel spent][u64 bytes charged][u64 queue ns]
-//                    [u64 run ns] — service::TenantStats, written and read
-//                    only by encode_stats_ok/decode_stats_ok
+//                    [u64 run ns] — service::TenantStats
 //   Snapshot   c->s  [] — quiesce the service and capture its code archive
 //   SnapshotOk s->c  [serialize_archives 'HPCA' stream]
 //   Error      s->c  [str message] — protocol violation; the server closes
 //                    the connection after flushing this frame
+//
+// A value is [u8 ValType][u64 raw slot] for a scalar, or [u8 ValType::Ref]
+// [u32 len][serialize_graph blob] for an object graph (len 0 = null ref).
 //
 // Decoding is defensive like serialize.cpp: every read bounds-checks and
 // throws ProtocolError, so truncated, oversized or bit-flipped frames fail
@@ -44,6 +44,9 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "vm/value.hpp"
+#include "vm/wire.hpp"
 
 namespace hpcnet::vm::service {
 struct TenantStats;
@@ -74,98 +77,88 @@ class ProtocolError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Append-only little-endian encoder.
-class WireWriter {
- public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<char>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<char>(v >> (8 * i)));
-  }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
-    buf_.reserve(buf_.size() + 4 + s.size());  // one growth for both parts
-    u32(static_cast<std::uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
-  }
-  void bytes(const char* data, std::size_t n) {
-    buf_.insert(buf_.end(), data, data + n);
-  }
-  const std::vector<char>& data() const { return buf_; }
-  std::vector<char> take() { return std::move(buf_); }
+using WireReader = ByteReader<ProtocolError>;
 
- private:
-  std::vector<char> buf_;
+/// A typed argument or result crossing the wire. Scalars live in `raw`
+/// (the 8-byte Slot image); Ref values carry a serialize_graph blob
+/// (empty = null).
+struct WireValue {
+  ValType type = ValType::None;
+  std::uint64_t raw = 0;
+  std::vector<char> blob;
+
+  static WireValue from_i32(std::int32_t v);
+  static WireValue from_i64(std::int64_t v);
+  static WireValue from_f64(double v);
+  static WireValue from_graph(std::vector<char> serialized);
+
+  std::int32_t as_i32() const { return static_cast<std::int32_t>(raw); }
+  std::int64_t as_i64() const { return static_cast<std::int64_t>(raw); }
+  double as_f64() const;
 };
 
-/// Bounds-checked little-endian decoder over a borrowed buffer; every
-/// overrun throws ProtocolError.
-class WireReader {
- public:
-  WireReader(const char* data, std::size_t size) : p_(data), n_(size) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(p_[off_++]);
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(p_[off_++]))
-           << (8 * i);
-    }
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(p_[off_++]))
-           << (8 * i);
-    }
-    return v;
-  }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  std::string str() {
-    const std::uint32_t len = u32();
-    if (len > kMaxFramePayload) throw ProtocolError("string length too large");
-    need(len);
-    std::string s(p_ + off_, len);
-    off_ += len;
-    return s;
-  }
-  /// Borrows `len` bytes out of the frame (no copy; valid while the frame
-  /// buffer lives).
-  const char* bytes(std::size_t len) {
-    need(len);
-    const char* out = p_ + off_;
-    off_ += len;
-    return out;
-  }
-  std::size_t remaining() const { return n_ - off_; }
-  bool empty() const { return off_ == n_; }
-
- private:
-  void need(std::size_t k) const {
-    if (n_ - off_ < k) throw ProtocolError("truncated frame");
-  }
-  const char* p_;
-  std::size_t n_;
-  std::size_t off_ = 0;
+struct WireResult {
+  std::uint64_t request_id = 0;
+  std::uint8_t outcome = 0;  // numeric service::JobOutcome
+  WireValue value;
+  std::string error;
+  std::uint64_t fuel_spent = 0;
+  std::uint64_t bytes_charged = 0;
+  std::int64_t queue_ns = 0;
+  std::int64_t run_ns = 0;
 };
 
 /// [u32 length][u8 type][payload] with the length filled in.
 std::vector<char> encode_frame(FrameType type, const std::vector<char>& payload);
+/// The length field of a frame header (the 4 bytes at `head`). Throws
+/// ProtocolError("bad frame length") unless 1 <= length <= kMaxFramePayload.
+std::uint32_t frame_length(const char* head);
 
 const char* frame_type_name(FrameType t);
 
-/// The StatsOk payload codec (field order in the header comment above).
+// Payload codecs, one pair per layout in the header comment. Decoders read
+// from a WireReader over the payload and throw ProtocolError.
+
+struct HelloFrame {
+  std::string tenant;
+  std::string token;
+};
+std::vector<char> encode_hello(const std::string& tenant,
+                               const std::string& token);
+/// Throws "bad magic", "unsupported protocol version" or "malformed HELLO".
+HelloFrame decode_hello(WireReader& r);
+std::vector<char> encode_hello_ok();
+
+/// Throws ProtocolError, having encoded nothing, when `args` holds more than
+/// 255 values or a value of a type that cannot travel.
+std::vector<char> encode_submit(std::uint64_t request_id,
+                                std::int32_t method_id,
+                                const std::vector<WireValue>& args);
+/// A decoded SUBMIT argument. A Ref borrows its blob from the frame
+/// (blob_size 0 = null ref); nothing is copied.
+struct ValueView {
+  ValType type = ValType::None;
+  std::uint64_t raw = 0;
+  const char* blob = nullptr;
+  std::uint32_t blob_size = 0;
+};
+struct SubmitFrame {
+  bool has_request_id = false;
+  std::uint64_t request_id = 0;
+  std::int32_t method_id = 0;
+  std::vector<ValueView> args;
+};
+/// Fills `out` field by field, so when it throws, `out.has_request_id` says
+/// whether a Rejected RESULT can still name the request.
+void decode_submit(WireReader& r, SubmitFrame& out);
+
+std::vector<char> encode_result(const WireResult& res);
+WireResult decode_result(WireReader& r);
+
 std::vector<char> encode_stats_ok(const service::TenantStats& st);
 service::TenantStats decode_stats_ok(WireReader& r);
+
+std::vector<char> encode_error(const std::string& message);
+std::string decode_error(WireReader& r);
 
 }  // namespace hpcnet::vm::net

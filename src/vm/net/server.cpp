@@ -46,14 +46,6 @@ class SafeRegion {
   VMContext& ctx_;
 };
 
-std::uint32_t read_le32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
 /// Completion hooks from service workers rendezvous with the loop thread
 /// here: append {connection, request}, poke the wake pipe. Jointly owned by
 /// the server and every outstanding hook, so a job that outlives the server
@@ -111,7 +103,7 @@ struct VmServer::Impl {
   void drain_done(std::map<std::uint64_t, Connection>& conns);
   void handle_frame(Connection& c, FrameType type, const char* payload,
                     std::size_t size, VMContext& ctx);
-  void handle_hello(Connection& c, WireReader& r);
+  void handle_hello(Connection& c, const char* payload, std::size_t size);
   void handle_submit(Connection& c, const char* payload, std::size_t size,
                      VMContext& ctx);
   void handle_stats(Connection& c);
@@ -351,9 +343,7 @@ void VmServer::Impl::send_frame(Connection& c, FrameType type,
 
 void VmServer::Impl::protocol_error_close(Connection& c,
                                           const std::string& msg) {
-  WireWriter w;
-  w.str(msg);
-  send_frame(c, FrameType::Error, w.data());
+  send_frame(c, FrameType::Error, encode_error(msg));
   c.closing = true;
 }
 
@@ -367,54 +357,33 @@ void VmServer::Impl::send_reject(Connection& c, std::uint64_t req,
 
 void VmServer::Impl::send_result(Connection& c, std::uint64_t req, ValType ret,
                                  const service::JobResult& res) {
-  WireWriter w;
-  w.u64(req);
-  w.u8(static_cast<std::uint8_t>(res.outcome));
-  std::string error = res.error;
-  if (res.outcome != service::JobOutcome::Completed) {
-    w.u8(static_cast<std::uint8_t>(ValType::None));
-  } else {
-    switch (ret) {
-      case ValType::I32:
-      case ValType::I64:
-      case ValType::F32:
-      case ValType::F64:
-        w.u8(static_cast<std::uint8_t>(ret));
-        w.u64(res.value.raw);
-        break;
-      case ValType::Ref: {
-        std::vector<char> blob;
-        if (res.value.ref != nullptr) {
-          try {
-            blob = serialize_graph(vm, res.value.ref);
-          } catch (const SerializeError& e) {
-            w.u8(static_cast<std::uint8_t>(ValType::None));
-            error = std::string("result not serializable: ") + e.what();
-            break;
-          }
-        }
-        if (blob.size() > kMaxFramePayload / 2) {
-          w.u8(static_cast<std::uint8_t>(ValType::None));
-          error = "result graph too large for one frame";
-          break;
-        }
-        w.u8(static_cast<std::uint8_t>(ValType::Ref));
-        w.u32(static_cast<std::uint32_t>(blob.size()));
-        w.bytes(blob.data(), blob.size());
-        break;
+  WireResult out;
+  out.request_id = req;
+  out.outcome = static_cast<std::uint8_t>(res.outcome);
+  out.error = res.error;
+  out.fuel_spent = res.fuel_spent;
+  out.bytes_charged = res.bytes_charged;
+  out.queue_ns = res.queue_ns;
+  out.run_ns = res.run_ns;
+  if (res.outcome == service::JobOutcome::Completed &&
+      ret == ValType::Ref) {
+    std::vector<char> blob;
+    try {
+      if (res.value.ref != nullptr) blob = serialize_graph(vm, res.value.ref);
+      if (blob.size() > kMaxFramePayload / 2) {
+        out.error = "result graph too large for one frame";
+      } else {
+        out.value = WireValue::from_graph(std::move(blob));
       }
-      case ValType::None:
-      default:
-        w.u8(static_cast<std::uint8_t>(ValType::None));
-        break;
+    } catch (const SerializeError& e) {
+      out.error = std::string("result not serializable: ") + e.what();
     }
+  } else if (res.outcome == service::JobOutcome::Completed &&
+             ret != ValType::None) {
+    out.value.type = ret;
+    out.value.raw = res.value.raw;
   }
-  w.str(error);
-  w.u64(res.fuel_spent);
-  w.u64(res.bytes_charged);
-  w.u64(static_cast<std::uint64_t>(res.queue_ns));
-  w.u64(static_cast<std::uint64_t>(res.run_ns));
-  send_frame(c, FrameType::Result, w.data());
+  send_frame(c, FrameType::Result, encode_result(out));
 }
 
 bool VmServer::Impl::read_input(Connection& c, VMContext& ctx) {
@@ -434,9 +403,11 @@ bool VmServer::Impl::read_input(Connection& c, VMContext& ctx) {
 
   std::size_t off = 0;
   while (!c.closing && c.in.size() - off >= 4) {
-    const std::uint32_t len = read_le32(c.in.data() + off);
-    if (len < 1 || len > kMaxFramePayload) {
-      protocol_error_close(c, "bad frame length");
+    std::uint32_t len = 0;
+    try {
+      len = frame_length(c.in.data() + off);
+    } catch (const ProtocolError& e) {
+      protocol_error_close(c, e.what());
       break;
     }
     if (c.in.size() - off - 4 < len) break;  // incomplete; wait for more
@@ -470,11 +441,9 @@ void VmServer::Impl::handle_frame(Connection& c, FrameType type,
                                   VMContext& ctx) {
   if (c.closing) return;
   switch (type) {
-    case FrameType::Hello: {
-      WireReader r(payload, size);
-      handle_hello(c, r);
+    case FrameType::Hello:
+      handle_hello(c, payload, size);
       return;
-    }
     case FrameType::Submit:
       if (!c.authed) {
         protocol_error_close(c, "HELLO required before SUBMIT");
@@ -502,125 +471,96 @@ void VmServer::Impl::handle_frame(Connection& c, FrameType type,
   }
 }
 
-void VmServer::Impl::handle_hello(Connection& c, WireReader& r) {
+void VmServer::Impl::handle_hello(Connection& c, const char* payload,
+                                  std::size_t size) {
   if (c.authed) {
     protocol_error_close(c, "duplicate HELLO");
     return;
   }
+  HelloFrame hello;
   try {
-    const std::uint32_t magic = r.u32();
-    if (magic != kMagic) {
-      protocol_error_close(c, "bad magic");
-      return;
-    }
-    const std::uint32_t version = r.u32();
-    if (version != kVersion) {
-      protocol_error_close(c, "unsupported protocol version");
-      return;
-    }
-    const std::string tenant = r.str();
-    const std::string token = r.str();
-    const auto it = creds.find(tenant);
-    const bool ok = it != creds.end()
-                        ? it->second == token
-                        : (opt.open_tenants && svc.has_tenant(tenant));
-    if (!ok) {
-      protocol_error_close(c, "auth failed");
-      return;
-    }
-    c.authed = true;
-    c.tenant = tenant;
-  } catch (const ProtocolError&) {
-    protocol_error_close(c, "malformed HELLO");
+    WireReader r(payload, size);
+    hello = decode_hello(r);
+  } catch (const ProtocolError& e) {
+    protocol_error_close(c, e.what());
     return;
   }
-  WireWriter w;
-  w.u32(kVersion);
-  send_frame(c, FrameType::HelloOk, w.data());
+  const auto it = creds.find(hello.tenant);
+  const bool ok = it != creds.end()
+                      ? it->second == hello.token
+                      : (opt.open_tenants && svc.has_tenant(hello.tenant));
+  if (!ok) {
+    protocol_error_close(c, "auth failed");
+    return;
+  }
+  c.authed = true;
+  c.tenant = hello.tenant;
+  send_frame(c, FrameType::HelloOk, encode_hello_ok());
 }
 
 void VmServer::Impl::handle_submit(Connection& c, const char* payload,
                                    std::size_t size, VMContext& ctx) {
-  WireReader r(payload, size);
-  std::uint64_t req = 0;
-  bool have_req = false;
+  SubmitFrame sub;
   std::vector<ObjRef> pins;
   const auto unpin_all = [&] {
     for (ObjRef o : pins) vm.unpin(o);
     pins.clear();
   };
   try {
-    req = r.u64();
-    have_req = true;
-    const std::int32_t method = r.i32();
-    const std::uint8_t argc = r.u8();
+    WireReader r(payload, size);
+    decode_submit(r, sub);
     std::vector<Slot> args;
-    args.reserve(argc);
-    for (std::uint8_t i = 0; i < argc; ++i) {
-      const auto tag = static_cast<ValType>(r.u8());
+    args.reserve(sub.args.size());
+    for (const ValueView& a : sub.args) {
       Slot s;
-      switch (tag) {
-        case ValType::I32:
-        case ValType::I64:
-        case ValType::F32:
-        case ValType::F64:
-          s.raw = r.u64();
-          break;
-        case ValType::Ref: {
-          const std::uint32_t len = r.u32();
-          if (len == 0) {
-            s.ref = nullptr;
-            break;
-          }
-          const char* blob = r.bytes(len);
-          // Same defensive path the snapshot loader uses: structural damage
-          // throws SerializeError, which becomes a Rejected RESULT below.
-          const ObjRef root = deserialize_graph(vm, ctx, blob, len);
-          // Pin before anything can block: the raw root on this native
-          // stack is not a GC root.
-          vm.pin(root);
-          pins.push_back(root);
-          s.ref = root;
-          break;
-        }
-        default:
-          throw ProtocolError("bad argument tag");
+      s.raw = a.raw;  // 0 for a Ref: the null ref, unless a blob follows
+      if (a.type == ValType::Ref && a.blob_size != 0) {
+        // Same defensive path the snapshot loader uses: structural damage
+        // throws SerializeError, which becomes a Rejected RESULT below.
+        // The blob is read in place from the frame buffer.
+        const ObjRef root = deserialize_graph(vm, ctx, a.blob, a.blob_size);
+        // Pin before anything can block: the raw root on this native
+        // stack is not a GC root.
+        vm.pin(root);
+        pins.push_back(root);
+        s.ref = root;
       }
       args.push_back(s);
     }
-    if (!r.empty()) throw ProtocolError("trailing bytes in SUBMIT");
 
     ValType ret = ValType::None;
     Module& mod = vm.module();
-    if (method >= 0 && static_cast<std::size_t>(method) < mod.method_count()) {
-      ret = mod.method(method).sig.ret;
+    if (sub.method_id >= 0 &&
+        static_cast<std::size_t>(sub.method_id) < mod.method_count()) {
+      ret = mod.method(sub.method_id).sig.ret;
     }
     // GC-safe across submit: it can block while a snapshot quiesce holds
     // admission closed, and an unsafe blocked loop would deadlock the
     // collection that quiesce is waiting out. The arg graphs are pinned.
     service::JobHandle handle = [&] {
       SafeRegion safe(vm, ctx);
-      return svc.submit(c.tenant, method, std::move(args),
-                        make_completion(c.id, req));
+      return svc.submit(c.tenant, sub.method_id, std::move(args),
+                        make_completion(c.id, sub.request_id));
     }();
     unpin_all();
     // A submit-time reject already fired its completion hook into the done
     // queue; the queue is only drained by this thread after dispatch, so
     // inserting now is not a race.
-    c.pending.emplace(req, Pending{std::move(handle), ret});
+    c.pending.emplace(sub.request_id, Pending{std::move(handle), ret});
   } catch (const ProtocolError& e) {
     unpin_all();
-    if (!have_req) {
+    if (!sub.has_request_id) {
       protocol_error_close(c, e.what());
       return;
     }
-    send_reject(c, req, e.what());
+    send_reject(c, sub.request_id, e.what());
   } catch (const SerializeError& e) {
     unpin_all();
-    send_reject(c, req, std::string("bad argument graph: ") + e.what());
+    send_reject(c, sub.request_id,
+                std::string("bad argument graph: ") + e.what());
   } catch (const std::exception& e) {
     unpin_all();
-    send_reject(c, req, e.what());  // unknown tenant / service stopping
+    send_reject(c, sub.request_id, e.what());  // unknown tenant / stopping
   }
 }
 
@@ -639,12 +579,9 @@ void VmServer::Impl::handle_snapshot(Connection& c, VMContext& ctx) {
     // blocks the loop until done — every connection stalls; that is the
     // documented cost of the operation.
     std::shared_ptr<const CodeArchive> archive = svc.capture_snapshot(&ctx);
-    const std::vector<char> stream = serialize_archives({archive});
-    if (stream.size() + 1 > kMaxFramePayload) {
-      protocol_error_close(c, "snapshot too large for one frame");
-      return;
-    }
-    send_frame(c, FrameType::SnapshotOk, stream);
+    // An archive past the frame cap makes encode_frame throw, before
+    // anything is queued: that too ends in the ERROR frame below.
+    send_frame(c, FrameType::SnapshotOk, serialize_archives({archive}));
   } catch (const std::exception& e) {
     protocol_error_close(c, std::string("snapshot failed: ") + e.what());
   }

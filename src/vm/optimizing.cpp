@@ -86,8 +86,11 @@ class OptimizingBackend final : public OptBackend {
     goto dispatch_exception;                \
   } while (0)
 
-Slot OptimizingBackend::run(VMContext& ctx, const RCode& rc,
-                            const Slot* args) {
+// 64-byte aligned, so the dispatch loop's branch targets keep the same
+// cache-line offsets whatever the objects linked ahead of it weigh.
+[[gnu::aligned(64)]] Slot OptimizingBackend::run(VMContext& ctx,
+                                                 const RCode& rc,
+                                                 const Slot* args) {
   Module& mod = vm_.module();
   const MethodDef& m = *rc.method;
   // Fuel/deadline check at the call boundary. Also guards OSR

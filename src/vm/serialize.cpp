@@ -11,6 +11,7 @@
 #include "vm/regir_ops.hpp"
 #include "vm/veckernels.hpp"
 #include "vm/verifier.hpp"
+#include "vm/wire.hpp"
 
 namespace hpcnet::vm {
 
@@ -18,62 +19,7 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x48504331;  // "HPC1"
 
-class Writer {
- public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) { raw(&v, 4); }
-  void i32(std::int32_t v) { raw(&v, 4); }
-  void u64(std::uint64_t v) { raw(&v, 8); }
-  void raw(const void* p, std::size_t n) {
-    const char* c = static_cast<const char*>(p);
-    buf_.insert(buf_.end(), c, c + n);
-  }
-  std::vector<char> take() { return std::move(buf_); }
-
- private:
-  std::vector<char> buf_;
-};
-
-class Reader {
- public:
-  Reader(const char* data, std::size_t size) : data_(data), size_(size) {}
-  std::uint8_t u8() { return static_cast<std::uint8_t>(data_[need(1)]); }
-  std::uint32_t u32() {
-    std::uint32_t v;
-    std::memcpy(&v, data_ + need(4), 4);
-    return v;
-  }
-  std::int32_t i32() {
-    std::int32_t v;
-    std::memcpy(&v, data_ + need(4), 4);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v;
-    std::memcpy(&v, data_ + need(8), 8);
-    return v;
-  }
-  const char* bytes(std::size_t n) { return data_ + need(n); }
-  /// Throws unless `n` items of `item_bytes` each are left. Records check
-  /// their payload this way before allocating, so a short blob that claims
-  /// a huge array is refused without first reserving its size.
-  void expect(std::size_t n, std::size_t item_bytes) const {
-    if (n > (size_ - pos_) / item_bytes) {
-      throw SerializeError("truncated stream");
-    }
-  }
-
- private:
-  std::size_t need(std::size_t n) {
-    if (pos_ + n > size_) throw SerializeError("truncated stream");
-    const std::size_t at = pos_;
-    pos_ += n;
-    return at;
-  }
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
+using Reader = ByteReader<SerializeError>;
 
 /// Bytes one element takes on the wire: a ref element is an i32 record id.
 std::size_t wire_elem_size(ValType elem) {
@@ -111,11 +57,11 @@ std::vector<char> serialize_graph(VirtualMachine& vm, ObjRef root) {
   };
 
   id_of(root);
-  Writer w;
+  ByteWriter w;
   w.u32(kMagic);
   // Object count back-patched at the end (discovery grows the list).
   std::size_t visited = 0;
-  Writer body;
+  ByteWriter body;
   while (visited < order.size()) {
     ObjRef obj = order[visited++];
     body.u8(static_cast<std::uint8_t>(obj->kind));
@@ -142,8 +88,8 @@ std::vector<char> serialize_graph(VirtualMachine& vm, ObjRef root) {
             body.i32(id_of(obj->ref_data()[i]));
           }
         } else {
-          body.raw(obj->data(),
-                   static_cast<std::size_t>(obj->length) * elem_size(obj->elem));
+          body.bytes(obj->data(), static_cast<std::size_t>(obj->length) *
+                                      elem_size(obj->elem));
         }
         break;
       }
@@ -156,7 +102,7 @@ std::vector<char> serialize_graph(VirtualMachine& vm, ObjRef root) {
         if (obj->elem == ValType::Ref) {
           for (std::size_t i = 0; i < n; ++i) body.i32(id_of(obj->ref_data()[i]));
         } else {
-          body.raw(obj->data(), n * elem_size(obj->elem));
+          body.bytes(obj->data(), n * elem_size(obj->elem));
         }
         break;
       }
@@ -167,7 +113,7 @@ std::vector<char> serialize_graph(VirtualMachine& vm, ObjRef root) {
       }
       case ObjKind::String: {
         body.i32(obj->length);
-        body.raw(obj->chars(), static_cast<std::size_t>(obj->length));
+        body.bytes(obj->chars(), static_cast<std::size_t>(obj->length));
         break;
       }
       case ObjKind::Free:
@@ -381,19 +327,6 @@ std::uint64_t fnv1a(const char* p, std::size_t n) {
   return h;
 }
 
-void put_str(Writer& w, const std::string& s) {
-  w.u32(static_cast<std::uint32_t>(s.size()));
-  w.raw(s.data(), s.size());
-}
-
-// Reader::bytes() throws before anything is allocated, so a hostile length
-// can never drive a giant allocation — the stream must actually contain it.
-std::string get_str(Reader& r) {
-  const std::uint32_t n = r.u32();
-  const char* p = r.bytes(n);
-  return std::string(p, n);
-}
-
 [[noreturn]] void bad(const std::string& what) {
   throw SerializeError("archive: " + what);
 }
@@ -408,8 +341,8 @@ std::string get_str(Reader& r) {
 // overwrites it during simulation, so a hostile value can only fail
 // verification, never leak through.
 
-void put_body(Writer& w, const MethodDef& m) {
-  put_str(w, m.name);
+void put_body(ByteWriter& w, const MethodDef& m) {
+  w.str(m.name);
   w.i32(m.id);
   w.u32(static_cast<std::uint32_t>(m.sig.params.size()));
   for (ValType t : m.sig.params) w.u8(static_cast<std::uint8_t>(t));
@@ -436,7 +369,7 @@ void put_body(Writer& w, const MethodDef& m) {
 
 MethodDef get_body(Reader& r) {
   MethodDef m;
-  m.name = get_str(r);
+  m.name = r.str();
   m.id = r.i32();
   const std::uint32_t nparams = r.u32();
   for (std::uint32_t i = 0; i < nparams; ++i) {
@@ -478,7 +411,7 @@ MethodDef get_body(Reader& r) {
 
 // -- Compiled body ----------------------------------------------------------
 
-void put_rcode(Writer& w, const regir::RCode& rc) {
+void put_rcode(ByteWriter& w, const regir::RCode& rc) {
   put_body(w, *rc.body);
   w.i32(rc.num_regs);
   w.i32(rc.slot_regs);
@@ -790,14 +723,14 @@ std::shared_ptr<const regir::RCode> get_rcode(Reader& r, Module& module) {
 
 std::vector<char> serialize_archives(
     const std::vector<std::shared_ptr<const CodeArchive>>& archives) {
-  Writer body;
+  ByteWriter body;
   body.u32(static_cast<std::uint32_t>(archives.size()));
   for (const auto& ar : archives) {
-    put_str(body, ar->profile());
+    body.str(ar->profile());
     body.u32(static_cast<std::uint32_t>(ar->records().size()));
     for (const CodeArchive::MethodRecord& rec : ar->records()) {
       body.i32(rec.method_id);
-      put_str(body, rec.name);
+      body.str(rec.name);
       body.u64(rec.il_hash);
       body.u8(rec.tier);
       body.u32(rec.hotness);
@@ -806,11 +739,11 @@ std::vector<char> serialize_archives(
     }
   }
   const std::vector<char> payload = body.take();
-  Writer w;
+  ByteWriter w;
   w.u32(kArchiveMagic);
   w.u32(kArchiveVersion);
   w.u64(fnv1a(payload.data(), payload.size()));
-  w.raw(payload.data(), payload.size());
+  w.bytes(payload.data(), payload.size());
   return w.take();
 }
 
@@ -831,13 +764,13 @@ std::vector<std::shared_ptr<const CodeArchive>> deserialize_archives(
   std::vector<std::shared_ptr<const CodeArchive>> out;
   const std::uint32_t narchives = r.u32();
   for (std::uint32_t ai = 0; ai < narchives; ++ai) {
-    std::string profile = get_str(r);
+    std::string profile = r.str();
     std::vector<CodeArchive::MethodRecord> records;
     const std::uint32_t nrecords = r.u32();
     for (std::uint32_t ri = 0; ri < nrecords; ++ri) {
       CodeArchive::MethodRecord rec;
       rec.method_id = r.i32();
-      rec.name = get_str(r);
+      rec.name = r.str();
       rec.il_hash = r.u64();
       rec.tier = r.u8();
       rec.hotness = r.u32();

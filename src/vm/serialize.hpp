@@ -7,7 +7,11 @@
 // The wire format is a private, versioned byte stream:
 //   [u32 magic][u32 object count][records...]
 // Each record: [u8 kind][type info][payload]; object references inside
-// payloads are encoded as record indices (-1 = null).
+// payloads are encoded as record indices (-1 = null). Both formats here go
+// through the VM's one byte codec (vm/wire.hpp, shared with the network
+// frames): little-endian integers and [u32 len][bytes] strings, with every
+// read bounds-checked. serialize.cpp is the only place that knows either
+// layout.
 //
 // The same module also carries the snapshot wire format (DESIGN.md §13): a
 // separately-tagged archive section that round-trips CodeArchives — compiled

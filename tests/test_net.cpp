@@ -1,12 +1,18 @@
 // TCP front-end tests (DESIGN.md §14): loopback round trips for every frame
-// type, auth and version gating, connection-lifetime job cancellation, and
-// the hostile-input sweeps the wire parser must shrug off — truncation at
-// every byte offset, oversized/zero length prefixes, mid-SUBMIT disconnects
-// and single-byte-flip fuzzing. Every malformed input must end in a clean
+// type, golden bytes for the HELLO, SUBMIT and RESULT payloads as both the
+// client and the server write them, auth and version gating,
+// connection-lifetime job cancellation, and the hostile-input sweeps the
+// wire parser must shrug off — truncation at every byte offset,
+// oversized/zero length prefixes, mid-SUBMIT disconnects and
+// single-byte-flip fuzzing. Every malformed input must end in a clean
 // ERROR frame or a closed connection, never UB; after each sweep a fresh
 // client proves the server still completes jobs. The binary also runs under
 // TSan in CI (loop thread vs workers vs client threads).
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
@@ -24,6 +30,7 @@
 #include "vm/net/server.hpp"
 #include "vm/serialize.hpp"
 #include "vm/service/service.hpp"
+#include "vm_test_util.hpp"
 
 namespace hpcnet::test {
 namespace {
@@ -35,7 +42,6 @@ using net::VmServer;
 using net::WireReader;
 using net::WireResult;
 using net::WireValue;
-using net::WireWriter;
 using service::ExecutionService;
 using service::JobOutcome;
 
@@ -134,7 +140,7 @@ struct Loopback {
 
 /// A well-formed SUBMIT frame for spin(10), the corpus for the sweeps.
 std::vector<char> submit_frame(std::int32_t method, std::uint64_t req) {
-  WireWriter w;
+  ByteWriter w;
   w.u64(req);
   w.i32(method);
   w.u8(1);
@@ -262,7 +268,7 @@ TEST(Net, OpenTenantsStillRequireRegistration) {
 TEST(Net, BadMagicAndVersionAreRefused) {
   Loopback lb;
   const auto attempt = [&](std::uint32_t magic, std::uint32_t version) {
-    WireWriter w;
+    ByteWriter w;
     w.u32(magic);
     w.u32(version);
     w.str("a");
@@ -353,6 +359,232 @@ TEST(Net, StatsOkCodecKeepsFieldOrder) {
   EXPECT_TRUE(r.empty());
 }
 
+/// [u32 length][u8 type][payload], spelled out for the golden-byte tests.
+std::vector<char> frame_bytes(FrameType type, const std::vector<char>& payload) {
+  LeBytes f;
+  f.u32(static_cast<std::uint32_t>(payload.size() + 1));
+  f.u8(static_cast<std::uint8_t>(type));
+  f.bytes.insert(f.bytes.end(), payload.begin(), payload.end());
+  return f.bytes;
+}
+
+/// A bare listening socket in place of a server: reads exactly what a
+/// VmClient writes and hands it hand-built replies.
+class FakePeer {
+ public:
+  FakePeer() {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof addr;
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len), 0);
+    EXPECT_EQ(::listen(listen_fd_, 1), 0);
+    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+  }
+  ~FakePeer() {
+    if (fd_ >= 0) ::close(fd_);
+    ::close(listen_fd_);
+  }
+  FakePeer(const FakePeer&) = delete;
+  FakePeer& operator=(const FakePeer&) = delete;
+
+  std::uint16_t port() const { return port_; }
+  void accept_one() {
+    fd_ = ::accept(listen_fd_, nullptr, nullptr);
+    ASSERT_GE(fd_, 0);
+    timeval tv{5, 0};  // a short write fails the test instead of hanging it
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  }
+  void send(const std::vector<char>& bytes) {
+    ASSERT_EQ(::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+  }
+  /// Up to `n` bytes (fewer only if the client stops writing).
+  std::vector<char> recv(std::size_t n) {
+    std::vector<char> out(n);
+    std::size_t got = 0;
+    while (got < n) {
+      const ssize_t k = ::recv(fd_, out.data() + got, n - got, 0);
+      if (k <= 0) break;
+      got += static_cast<std::size_t>(k);
+    }
+    out.resize(got);
+    return out;
+  }
+
+ private:
+  int listen_fd_ = -1;
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+};
+
+constexpr std::uint8_t tag(ValType t) { return static_cast<std::uint8_t>(t); }
+
+TEST(Net, ClientPayloadBytesArePinned) {
+  FakePeer peer;
+  VmClient c;
+  c.connect("127.0.0.1", peer.port());
+  peer.accept_one();
+
+  // HELLO: [u32 'HPCN'][u32 version][str tenant][str token].
+  peer.send(frame_bytes(FrameType::HelloOk, LeBytes().u32(1).bytes));
+  c.hello("ten", "tok");
+  const std::vector<char> hello = frame_bytes(
+      FrameType::Hello,
+      LeBytes().u32(0x4850434E).u32(1).u32(3).text("ten").u32(3).text("tok")
+          .bytes);
+  EXPECT_EQ(peer.recv(hello.size()), hello);
+
+  // SUBMIT: [u64 id][i32 method][u8 argc], each arg [u8 tag][u64 raw] or
+  // [u8 Ref][u32 len][blob] (len 0 = null).
+  WireValue f32;
+  f32.type = ValType::F32;
+  f32.raw = Slot::from_f32(0.5f).raw;
+  const std::uint64_t id = c.send_submit(
+      42, {WireValue::from_i32(-2), WireValue::from_i64(-3), f32,
+           WireValue::from_f64(1.5), WireValue::from_graph({'x', 'y', 'z'}),
+           WireValue::from_graph({})});
+  EXPECT_EQ(id, 1u);
+  LeBytes submit;
+  submit.u64(1).i32(42).u8(6);
+  submit.u8(tag(ValType::I32)).u64(0xFFFFFFFEu);
+  submit.u8(tag(ValType::I64)).u64(0xFFFFFFFFFFFFFFFDu);
+  submit.u8(tag(ValType::F32)).u64(0x3F000000u);
+  submit.u8(tag(ValType::F64)).u64(0x3FF8000000000000u);
+  submit.u8(tag(ValType::Ref)).u32(3).text("xyz");
+  submit.u8(tag(ValType::Ref)).u32(0);
+  const std::vector<char> submit_frame =
+      frame_bytes(FrameType::Submit, submit.bytes);
+  EXPECT_EQ(peer.recv(submit_frame.size()), submit_frame);
+
+  // RESULT: [u64 id][u8 outcome][value][str error][u64 fuel][u64 bytes]
+  // [u64 queue ns][u64 run ns]; a ref value, a scalar, then no value.
+  peer.send(frame_bytes(FrameType::Result, LeBytes()
+                                               .u64(1)
+                                               .u8(0)
+                                               .u8(tag(ValType::Ref))
+                                               .u32(3)
+                                               .text("abc")
+                                               .u32(2)
+                                               .text("e!")
+                                               .u64(11)
+                                               .u64(22)
+                                               .u64(33)
+                                               .u64(44)
+                                               .bytes));
+  peer.send(frame_bytes(FrameType::Result, LeBytes()
+                                               .u64(2)
+                                               .u8(0)
+                                               .u8(tag(ValType::F64))
+                                               .u64(0x3FF8000000000000u)
+                                               .u32(0)
+                                               .u64(1)
+                                               .u64(2)
+                                               .u64(3)
+                                               .u64(4)
+                                               .bytes));
+  peer.send(frame_bytes(FrameType::Result, LeBytes()
+                                               .u64(3)
+                                               .u8(4)
+                                               .u8(tag(ValType::None))
+                                               .u32(4)
+                                               .text("nope")
+                                               .u64(0)
+                                               .u64(0)
+                                               .u64(5)
+                                               .u64(0)
+                                               .bytes));
+  const WireResult ref = c.recv_result();
+  EXPECT_EQ(ref.request_id, 1u);
+  EXPECT_EQ(ref.outcome, 0);
+  EXPECT_EQ(ref.value.type, ValType::Ref);
+  EXPECT_EQ(ref.value.blob, (std::vector<char>{'a', 'b', 'c'}));
+  EXPECT_EQ(ref.error, "e!");
+  EXPECT_EQ(ref.fuel_spent, 11u);
+  EXPECT_EQ(ref.bytes_charged, 22u);
+  EXPECT_EQ(ref.queue_ns, 33);
+  EXPECT_EQ(ref.run_ns, 44);
+  const WireResult scalar = c.recv_result();
+  EXPECT_EQ(scalar.request_id, 2u);
+  EXPECT_EQ(scalar.value.type, ValType::F64);
+  EXPECT_EQ(scalar.value.as_f64(), 1.5);
+  EXPECT_EQ(scalar.error, "");
+  EXPECT_EQ(scalar.run_ns, 4);
+  const WireResult none = c.recv_result();
+  EXPECT_EQ(none.request_id, 3u);
+  EXPECT_EQ(none.outcome, 4);
+  EXPECT_EQ(none.value.type, ValType::None);
+  EXPECT_EQ(none.error, "nope");
+  EXPECT_EQ(none.queue_ns, 5);
+}
+
+TEST(Net, ServerPayloadBytesArePinned) {
+  Loopback lb;
+  Module& mod = lb.vm.module();
+  const auto node_cls = mod.define_class(
+      "net.Node", {{"next", ValType::Ref}, {"v", ValType::I32}});
+  const auto echo = build_echo(mod, "net.echo");
+  std::vector<char> blob;
+  {
+    VMContext& ctx = lb.vm.main_context();
+    ObjRef node = lb.vm.heap().alloc_instance(node_cls, &ctx.tlab);
+    node->fields()[1].i32 = 7;
+    blob = serialize_graph(lb.vm, node);
+  }
+
+  VmClient c;
+  c.connect("127.0.0.1", lb.server.port());
+  const std::vector<char> hello = frame_bytes(
+      FrameType::Hello,
+      LeBytes().u32(0x4850434E).u32(1).u32(1).text("a").u32(0).bytes);
+  c.send_raw(hello.data(), hello.size());
+  FrameType type{};
+  std::vector<char> payload;
+  ASSERT_TRUE(c.recv_frame(type, payload));
+  ASSERT_EQ(type, FrameType::HelloOk);
+  EXPECT_EQ(payload, LeBytes().u32(1).bytes);
+
+  // Each SUBMIT's RESULT: id, outcome Completed, the value, an empty error,
+  // then four u64 counters whose values vary run to run.
+  const auto expect_result = [&](const std::vector<char>& submit_payload,
+                                 const std::vector<char>& value) {
+    const std::vector<char> frame =
+        frame_bytes(FrameType::Submit, submit_payload);
+    c.send_raw(frame.data(), frame.size());
+    ASSERT_TRUE(c.recv_frame(type, payload));
+    ASSERT_EQ(type, FrameType::Result);
+    LeBytes head;
+    head.bytes.assign(submit_payload.begin(), submit_payload.begin() + 8);
+    head.u8(0);
+    head.bytes.insert(head.bytes.end(), value.begin(), value.end());
+    head.u32(0);
+    ASSERT_EQ(payload.size(), head.bytes.size() + 32);
+    payload.resize(head.bytes.size());
+    EXPECT_EQ(payload, head.bytes);
+  };
+  expect_result(LeBytes()
+                    .u64(7)
+                    .i32(lb.spin)
+                    .u8(1)
+                    .u8(tag(ValType::I32))
+                    .u64(10)
+                    .bytes,
+                LeBytes().u8(tag(ValType::I32)).u64(45).bytes);
+  LeBytes ref_arg;
+  ref_arg.u64(8).i32(echo).u8(1).u8(tag(ValType::Ref));
+  ref_arg.u32(static_cast<std::uint32_t>(blob.size()));
+  ref_arg.bytes.insert(ref_arg.bytes.end(), blob.begin(), blob.end());
+  LeBytes ref_value;
+  ref_value.u8(tag(ValType::Ref)).u32(static_cast<std::uint32_t>(blob.size()));
+  ref_value.bytes.insert(ref_value.bytes.end(), blob.begin(), blob.end());
+  expect_result(ref_arg.bytes, ref_value.bytes);
+  expect_result(
+      LeBytes().u64(9).i32(echo).u8(1).u8(tag(ValType::Ref)).u32(0).bytes,
+      LeBytes().u8(tag(ValType::Ref)).u32(0).bytes);
+}
+
 TEST(Net, SnapshotOverTcpIsALoadableArchive) {
   Loopback lb;
   VmClient c = lb.client();
@@ -369,6 +601,52 @@ TEST(Net, SnapshotOverTcpIsALoadableArchive) {
   EXPECT_FALSE(archives.empty());
   // The server kept serving through and after the quiesce.
   EXPECT_EQ(c.call(lb.spin, {WireValue::from_i32(10)}).outcome, 0);
+}
+
+TEST(Net, SnapshotRefusedWhenDisabled) {
+  VirtualMachine vm;
+  const auto spin = build_spin(vm.module(), "net.spin");
+  ExecutionService svc(vm, profiles::clr11(),
+                       {.workers = 1, .warm_start = nullptr});
+  svc.add_tenant({.name = "a"});
+  net::ServerOptions opt = Loopback::open_options();
+  opt.allow_snapshot = false;
+  VmServer server(vm, svc, opt);
+  server.start();
+
+  VmClient c;
+  c.connect("127.0.0.1", server.port());
+  c.hello("a", "");
+  EXPECT_EQ(c.call(spin, {WireValue::from_i32(10)}).outcome, 0);
+  try {
+    (void)c.snapshot();
+    ADD_FAILURE() << "SNAPSHOT answered on a server that disallows it";
+  } catch (const net::ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("snapshot disabled"),
+              std::string::npos)
+        << e.what();
+  }
+  // The ERROR frame ends the connection; other connections keep serving.
+  FrameType type{};
+  std::vector<char> payload;
+  EXPECT_FALSE(c.recv_frame(type, payload));
+  VmClient other;
+  other.connect("127.0.0.1", server.port());
+  other.hello("a", "");
+  EXPECT_EQ(other.call(spin, {WireValue::from_i32(10)}).value.as_i32(), 45);
+}
+
+TEST(Net, SubmitWithTooManyArgsThrowsBeforeSending) {
+  Loopback lb;
+  VmClient c = lb.client();
+  // argc is one byte on the wire: 256 arguments cannot be encoded.
+  const std::vector<WireValue> args(256, WireValue::from_i32(1));
+  EXPECT_THROW(c.send_submit(lb.spin, args), net::ProtocolError);
+  // Nothing reached the server, so the connection is still in step.
+  const WireResult r = c.call(lb.spin, {WireValue::from_i32(10)});
+  EXPECT_EQ(r.outcome, 0);
+  EXPECT_EQ(r.value.as_i32(), 45);
+  EXPECT_EQ(c.stats().jobs_rejected, 0u);
 }
 
 TEST(Net, ConcurrentTenantsShareOneServer) {
@@ -457,7 +735,7 @@ TEST(Net, OversizedAndZeroLengthPrefixesAreRefused) {
   Loopback lb;
   for (const std::uint32_t len : {0u, net::kMaxFramePayload + 1, 0x7FFFFFFFu,
                                   0xFFFFFFFFu}) {
-    WireWriter w;
+    ByteWriter w;
     w.u32(len);
     w.u8(static_cast<std::uint8_t>(FrameType::Stats));
     VmClient c = lb.client();

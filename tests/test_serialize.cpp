@@ -96,7 +96,9 @@ TEST_F(SerializeTest, SharedReferencePreserved) {
 }
 
 TEST_F(SerializeTest, EveryObjectKindRoundTrips) {
-  ObjRef carrier = vm.heap().alloc_array(ValType::Ref, 5);
+  // One record of each kind, a null ref (carrier slot 5) and a cycle (the
+  // node's next points back at the carrier).
+  ObjRef carrier = vm.heap().alloc_array(ValType::Ref, 6);
   Pinned pin(vm, carrier);
   {
     ObjRef ints = vm.heap().alloc_array(ValType::I32, 3);
@@ -109,9 +111,31 @@ TEST_F(SerializeTest, EveryObjectKindRoundTrips) {
     carrier->ref_data()[2] = vm.heap().alloc_box(ValType::F64,
                                                  Slot::from_f64(6.25));
     carrier->ref_data()[3] = vm.heap().alloc_string("hello");
-    carrier->ref_data()[4] = make_node(5, nullptr);
+    carrier->ref_data()[4] = make_node(5, carrier);
   }
   const auto bytes = serialize_graph(vm, carrier);
+
+  // The HPC1 bytes, pinned: [u32 magic][u32 count], then the records in
+  // breadth-first order, refs as little-endian i32 record ids (-1 = null).
+  constexpr std::uint8_t kRef = static_cast<std::uint8_t>(ValType::Ref);
+  constexpr std::uint8_t kI32 = static_cast<std::uint8_t>(ValType::I32);
+  constexpr std::uint8_t kF64 = static_cast<std::uint8_t>(ValType::F64);
+  LeBytes want;
+  want.u32(0x48504331).u32(6);
+  want.u8(static_cast<std::uint8_t>(ObjKind::Array)).u8(kRef).i32(6);
+  for (std::int32_t id : {1, 2, 3, 4, 5, -1}) want.i32(id);
+  want.u8(static_cast<std::uint8_t>(ObjKind::Array)).u8(kI32).i32(3);
+  want.i32(-7).i32(0).i32(123);
+  want.u8(static_cast<std::uint8_t>(ObjKind::Matrix2)).u8(kF64).i32(2).i32(3);
+  for (int i = 0; i < 5; ++i) want.u64(0);
+  want.u64(0x4004000000000000u);  // 2.5
+  want.u8(static_cast<std::uint8_t>(ObjKind::Boxed)).u8(kF64);
+  want.u64(0x4019000000000000u);  // 6.25
+  want.u8(static_cast<std::uint8_t>(ObjKind::String)).i32(5).text("hello");
+  want.u8(static_cast<std::uint8_t>(ObjKind::Instance)).i32(node).i32(2);
+  want.u64(5).i32(0);  // v = 5, next = record 0
+  EXPECT_EQ(bytes, want.bytes);
+
   ObjRef c = deserialize_graph(vm, vm.main_context(), bytes.data(),
                                bytes.size());
   EXPECT_EQ(c->ref_data()[0]->i32_data()[0], -7);
@@ -122,6 +146,8 @@ TEST_F(SerializeTest, EveryObjectKindRoundTrips) {
   EXPECT_DOUBLE_EQ(c->ref_data()[2]->fields()[0].f64, 6.25);
   EXPECT_EQ(string_value(c->ref_data()[3]), "hello");
   EXPECT_EQ(c->ref_data()[4]->fields()[0].i32, 5);
+  EXPECT_EQ(c->ref_data()[4]->fields()[1].ref, c);
+  EXPECT_EQ(c->ref_data()[5], nullptr);
 }
 
 TEST_F(SerializeTest, RejectsTruncatedStream) {

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "vm/execution.hpp"
@@ -62,6 +64,31 @@ struct VMFixture {
     VMContext& ctx = vm.main_context();
     ctx.engine = engines[engine_idx].get();
     return engines[engine_idx]->invoke(ctx, method, args);
+  }
+};
+
+/// Builds the expected bytes of a golden-byte test. Integers are spelled out
+/// little-endian with shifts, so the expectation is the format itself, not
+/// whatever the host's byte order makes of it.
+struct LeBytes {
+  std::vector<char> bytes;
+
+  LeBytes& u8(std::uint8_t v) {
+    bytes.push_back(static_cast<char>(v));
+    return *this;
+  }
+  LeBytes& u32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+    return *this;
+  }
+  LeBytes& u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+    return *this;
+  }
+  LeBytes& i32(std::int32_t v) { return u32(static_cast<std::uint32_t>(v)); }
+  LeBytes& text(const std::string& s) {
+    bytes.insert(bytes.end(), s.begin(), s.end());
+    return *this;
   }
 };
 
