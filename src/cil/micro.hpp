@@ -59,9 +59,6 @@ std::int32_t build_cast_i64_f64(vm::VirtualMachine& v);
 // --- Create (Table 1); ops/iteration = 1 -----------------------------------
 std::int32_t build_create_object(vm::VirtualMachine& v);        // 2-field class
 std::int32_t build_create_array(vm::VirtualMachine& v, std::int32_t length);
-std::int32_t build_create_matrix2(vm::VirtualMachine& v,        // rank-2 f64
-                                  std::int32_t rows, std::int32_t cols);
-std::int32_t build_create_box(vm::VirtualMachine& v);           // box an i32
 
 // --- Create, multithreaded (allocation scaling) ----------------------------
 /// (i32 nthreads, i32 iters) -> i32. Starts nthreads managed threads, each

@@ -56,39 +56,6 @@ std::int32_t build_create_array(vm::VirtualMachine& v, std::int32_t length) {
   });
 }
 
-std::int32_t build_create_matrix2(vm::VirtualMachine& v, std::int32_t rows,
-                                  std::int32_t cols) {
-  const std::string name = "micro.create.matrix" + std::to_string(rows) + "x" +
-                           std::to_string(cols);
-  return cached(v, name, [&] {
-    ILBuilder b(v.module(), name, {{ValType::I32}, ValType::I32});
-    const auto i = b.add_local(ValType::I32);
-    const auto bound = b.add_local(ValType::I32);
-    const auto last = b.add_local(ValType::Ref);
-    b.ldarg(0).stloc(bound);
-    counted_loop(b, i, bound, [&] {
-      b.ldc_i4(rows).ldc_i4(cols).newmat(ValType::F64).stloc(last);
-    });
-    b.ldloc(last).ldlen().ret();
-    return b.finish();
-  });
-}
-
-std::int32_t build_create_box(vm::VirtualMachine& v) {
-  return cached(v, "micro.create.box", [&] {
-    ILBuilder b(v.module(), "micro.create.box", {{ValType::I32}, ValType::I32});
-    const auto i = b.add_local(ValType::I32);
-    const auto bound = b.add_local(ValType::I32);
-    const auto last = b.add_local(ValType::Ref);
-    b.ldarg(0).stloc(bound);
-    counted_loop(b, i, bound, [&] {
-      b.ldloc(i).box(ValType::I32).stloc(last);
-    });
-    b.ldloc(last).unbox(ValType::I32).ret();
-    return b.finish();
-  });
-}
-
 // --- Multithreaded creation (allocation scaling) ---------------------------
 //
 // A minimal fork-join driver around the single-thread creation loops: each

@@ -143,6 +143,13 @@ class TieredEngine final : public Engine {
                      std::uint32_t hotness);
   const regir::RCode& compile_optimizing(CodeCache::Entry& e,
                                          const MethodDef& m);
+  /// The compile step every optimized body shares: under `e`'s latch (the
+  /// only latch held), compiles `body`, publishes the code, raises the tier
+  /// to Optimizing and unlocks, then records the compile. Returns the code
+  /// and the tier byte it replaced (Optimizing when another thread had
+  /// already published).
+  std::pair<const regir::RCode*, std::uint8_t> compile_and_publish(
+      CodeCache::Entry& e, const MethodDef& body);
   void pre_verify_callees(const MethodDef& root);
   void verify_slow(CodeCache::Entry& e, const MethodDef& m);
   /// The continuation MethodDef for (body, header), built+verified once and

@@ -192,19 +192,26 @@ Slot Engine::invoke(VMContext& ctx, std::int32_t method_id,
   if (args.size() != m.sig.params.size()) {
     throw std::invalid_argument("invoke " + m.name + ": argument count");
   }
+  // The caller's engine and the argument block are restored on every exit,
+  // a native exception unwinding out of the engine included.
+  struct Restore {
+    VMContext& ctx;
+    Engine* const engine;
+    const FrameArena::Mark mark;
+    ~Restore() {
+      ctx.engine = engine;
+      ctx.arena.release(mark);
+    }
+  } restore{ctx, ctx.engine, ctx.arena.mark()};
   // Copy args into a frame-arena block the engine will adopt.
-  const auto mark = ctx.arena.mark();
   Slot* argbuf = nullptr;
   if (!args.empty()) {
     argbuf = static_cast<Slot*>(ctx.arena.alloc(args.size() * sizeof(Slot)));
     std::copy(args.begin(), args.end(), argbuf);
   }
   ctx.pending_exception = nullptr;
-  Engine* prev_engine = ctx.engine;
   ctx.engine = this;  // managed Thread.Start spawns onto the running engine
   const Slot result = do_invoke(ctx, m, argbuf);
-  ctx.engine = prev_engine;
-  ctx.arena.release(mark);
   if (ctx.pending_exception != nullptr) {
     ObjRef exc = ctx.pending_exception;
     ctx.pending_exception = nullptr;

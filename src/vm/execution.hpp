@@ -31,6 +31,7 @@
 #include "support/timer.hpp"
 #include "vm/heap.hpp"
 #include "vm/module.hpp"
+#include "vm/telemetry/telemetry.hpp"
 
 namespace hpcnet::vm {
 
@@ -249,14 +250,88 @@ inline bool fuel_kill(VirtualMachine& vm, VMContext& ctx) {
   return true;
 }
 
-/// A fuel pulse: charges the back edges taken since the last charge
-/// (`charged` catches up with `backedges`), then runs the kill check.
-inline bool fuel_pulse(VirtualMachine& vm, VMContext& ctx,
-                       std::uint32_t backedges, std::uint32_t& charged) {
-  ctx.fuel.charge(backedges - charged);
-  charged = backedges;
-  return fuel_kill(vm, ctx);
-}
+// ---------------------------------------------------------------------------
+// Frame lifecycle.
+
+class TieredEngine;
+
+/// One managed activation's lifecycle, written once for all three tiers.
+/// A tier constructs it at frame entry, after the fuel_kill check, and it
+/// takes the frame-arena mark there; link() pushes the frame's GcFrame once
+/// the frame's storage is allocated. The destructor runs on EVERY exit: a
+/// normal return, a managed exception propagating out, and a native C++
+/// exception (frame-arena overflow, a compile failure in a nested call)
+/// unwinding through the dispatch loop. It pops the GcFrame if it was
+/// linked, releases the arena, charges the residual fuel, flushes tiered
+/// back-edge credit and counts the invocation. Without it a native unwind
+/// would leave ctx.top_frame at a dead frame for the next GC to walk.
+///
+/// The dispatch loops keep their back-edge and bytecode counters as
+/// register-friendly locals; the scope holds references and reads them only
+/// at fuel pulses and at exit. `fuel_charged` (back edges already charged to
+/// ctx.fuel) is the scope's own: it moves only at pulses.
+class FrameScope {
+ public:
+  /// `credit` is the engine whose hotness the frame's back edges feed at
+  /// exit: tiered IL frames pass theirs, every other frame null.
+  FrameScope(VMContext& ctx, std::int32_t method_id, Tier tier,
+             const std::uint32_t& backedges, const std::uint64_t& bytecodes,
+             TieredEngine* credit)
+      : ctx_(ctx),
+        mark_(ctx.arena.mark()),
+        method_id_(method_id),
+        tier_(tier),
+        backedges_(backedges),
+        bytecodes_(bytecodes),
+        credit_(credit) {}
+  ~FrameScope() {
+    if (gc_ != nullptr) ctx_.top_frame = gc_->parent;
+    ctx_.arena.release(mark_);
+    // Residual fuel: back edges taken since the last pulse are charged here
+    // (no kill check: the next pulse or call boundary catches an overdraw),
+    // so short loops in callees are still metered.
+    if (ctx_.fuel.active && backedges_ != fuel_charged) {
+      ctx_.fuel.charge(backedges_ - fuel_charged);
+    }
+    if (credit_ != nullptr && backedges_ != 0) flush_backedge_credit();
+    telemetry::record_invocation(method_id_, bytecodes_,
+                                 static_cast<std::uint8_t>(tier_));
+  }
+  FrameScope(const FrameScope&) = delete;
+  FrameScope& operator=(const FrameScope&) = delete;
+
+  /// Pushes `frame` on the thread's shadow stack until the scope ends.
+  void link(GcFrame& frame) {
+    frame.parent = ctx_.top_frame;
+    ctx_.top_frame = &frame;
+    gc_ = &frame;
+  }
+
+  /// A fuel pulse: charges the back edges taken since the last charge, then
+  /// runs the kill check.
+  bool fuel_pulse(VirtualMachine& vm) {
+    ctx_.fuel.charge(backedges_ - fuel_charged);
+    fuel_charged = backedges_;
+    return fuel_kill(vm, ctx_);
+  }
+
+  std::uint32_t fuel_charged = 0;
+
+ private:
+  /// note_backedges on `credit_`. A failed promotion (code-cache
+  /// exhaustion) drops the credit rather than terminate the process when
+  /// this runs during another unwind. Defined in tiered.cpp.
+  void flush_backedge_credit() noexcept;
+
+  VMContext& ctx_;
+  const FrameArena::Mark mark_;
+  const std::int32_t method_id_;
+  const Tier tier_;
+  const std::uint32_t& backedges_;
+  const std::uint64_t& bytecodes_;
+  TieredEngine* const credit_;
+  GcFrame* gc_ = nullptr;
+};
 
 // ---------------------------------------------------------------------------
 // Engine interface.

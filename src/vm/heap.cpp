@@ -1,5 +1,7 @@
 #include "vm/heap.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -47,13 +49,20 @@ void write_filler(char* p, std::size_t bytes) {
   h->alloc_bytes = static_cast<std::uint32_t>(bytes);
 }
 
+/// Mark/sweep workers for a new heap: HPCNET_GC_THREADS if set, else the
+/// CPUs this thread may run on (its affinity mask, not the machine's core
+/// count: extra workers on a pinned process only time-slice one CPU),
+/// capped at 4.
 int default_gc_threads() {
   if (const char* env = std::getenv("HPCNET_GC_THREADS")) {
     const int n = std::atoi(env);
     if (n >= 1) return std::min(n, 16);
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return static_cast<int>(std::min(4u, hw != 0 ? hw : 1u));
+  cpu_set_t mask;
+  const int cpus = sched_getaffinity(0, sizeof mask, &mask) == 0
+                       ? CPU_COUNT(&mask)
+                       : static_cast<int>(std::thread::hardware_concurrency());
+  return std::clamp(cpus, 1, 4);
 }
 
 }  // namespace

@@ -98,7 +98,8 @@ bool VmClient::recv_frame(FrameType& type, std::vector<char>& payload) {
 }
 
 void VmClient::send_frame(FrameType type, const std::vector<char>& payload) {
-  const std::vector<char> frame = encode_frame(type, payload);
+  std::vector<char> frame;
+  append_frame(frame, type, payload);
   write_all(fd_, frame.data(), frame.size());
 }
 

@@ -61,16 +61,16 @@ double WireValue::as_f64() const {
   return s.f64;
 }
 
-std::vector<char> encode_frame(FrameType type,
-                               const std::vector<char>& payload) {
+void append_frame(std::vector<char>& out, FrameType type,
+                  const std::vector<char>& payload) {
   if (payload.size() + 1 > kMaxFramePayload) {
     throw ProtocolError("frame payload exceeds protocol limit");
   }
-  ByteWriter w;
+  ByteWriter w(std::move(out));
   w.u32(static_cast<std::uint32_t>(payload.size() + 1));
   w.u8(static_cast<std::uint8_t>(type));
   w.bytes(payload.data(), payload.size());
-  return w.take();
+  out = w.take();
 }
 
 std::uint32_t frame_length(const char* head) {

@@ -108,8 +108,10 @@ struct WireResult {
   std::int64_t run_ns = 0;
 };
 
-/// [u32 length][u8 type][payload] with the length filled in.
-std::vector<char> encode_frame(FrameType type, const std::vector<char>& payload);
+/// Appends [u32 length][u8 type][payload] to `out`. Throws ProtocolError,
+/// leaving `out` as it was, when the payload exceeds the frame cap.
+void append_frame(std::vector<char>& out, FrameType type,
+                  const std::vector<char>& payload);
 /// The length field of a frame header (the 4 bytes at `head`). Throws
 /// ProtocolError("bad frame length") unless 1 <= length <= kMaxFramePayload.
 std::uint32_t frame_length(const char* head);

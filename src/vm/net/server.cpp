@@ -337,8 +337,7 @@ void VmServer::Impl::drain_done(std::map<std::uint64_t, Connection>& conns) {
 
 void VmServer::Impl::send_frame(Connection& c, FrameType type,
                                 const std::vector<char>& payload) {
-  const std::vector<char> frame = encode_frame(type, payload);
-  c.out.insert(c.out.end(), frame.begin(), frame.end());
+  append_frame(c.out, type, payload);
 }
 
 void VmServer::Impl::protocol_error_close(Connection& c,
@@ -579,7 +578,7 @@ void VmServer::Impl::handle_snapshot(Connection& c, VMContext& ctx) {
     // blocks the loop until done — every connection stalls; that is the
     // documented cost of the operation.
     std::shared_ptr<const CodeArchive> archive = svc.capture_snapshot(&ctx);
-    // An archive past the frame cap makes encode_frame throw, before
+    // An archive past the frame cap makes append_frame throw, before
     // anything is queued: that too ends in the ERROR frame below.
     send_frame(c, FrameType::SnapshotOk, serialize_archives({archive}));
   } catch (const std::exception& e) {

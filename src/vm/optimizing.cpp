@@ -23,13 +23,14 @@ using regir::RCode;
 using regir::RInstr;
 using regir::ROp;
 
-constexpr std::uint8_t kTierIndex = static_cast<std::uint8_t>(Tier::Optimizing);
+// Register code retires no IL bytecodes; its frames count invocations only.
+constexpr std::uint64_t kNoBytecodes = 0;
 
 constexpr std::int64_t kRegFieldBits = 20;
 constexpr std::int64_t kRegFieldMask = (1 << kRegFieldBits) - 1;
 
 struct OptFrame {
-  GcFrame gc;  // must be first
+  GcFrame gc{nullptr, &enumerate};  // must be first
   const RCode* rc = nullptr;
   Slot* regs = nullptr;
 
@@ -96,17 +97,21 @@ class OptimizingBackend final : public OptBackend {
   // Fuel/deadline check at the call boundary. Also guards OSR
   // continuations: osr_enter lands here too.
   if (fuel_kill(vm_, ctx)) return Slot{};
-  telemetry::record_invocation(m.id, 0, kTierIndex);
-  const auto arena_mark = ctx.arena.mark();
+  // Fuel windows: this tier has no OSR counter to piggyback on, so metering
+  // costs one extra predictable branch per taken back edge (the single-
+  // compare constraint binds the interpreter, not this tier).
+  const bool fuel_on = ctx.fuel.active;
+  std::uint32_t backedges = 0;
+  std::uint32_t pulse_next = fuel_on ? kFuelPulseBackedges : 0;
+  FrameScope scope(ctx, m.id, Tier::Optimizing, backedges, kNoBytecodes,
+                   nullptr);
 
   OptFrame frame;
   frame.rc = &rc;
   frame.regs = static_cast<Slot*>(
       ctx.arena.alloc(static_cast<std::size_t>(rc.num_regs) * sizeof(Slot)));
   for (std::size_t i = 0; i < m.num_args(); ++i) frame.regs[i] = args[i];
-  frame.gc.parent = ctx.top_frame;
-  frame.gc.enumerate = &OptFrame::enumerate;
-  ctx.top_frame = &frame.gc;
+  scope.link(frame.gc);
 
   Slot* R = frame.regs;
   UnwindMachine uw;
@@ -125,22 +130,6 @@ class OptimizingBackend final : public OptBackend {
     dgen = dent->deopt_generation.load(std::memory_order_relaxed);
   }
 
-  // Fuel windows: this tier has no OSR counter to piggyback on, so metering
-  // costs one extra predictable branch per taken back edge (the satellite-2
-  // single-compare constraint binds the interpreter, not this tier).
-  const bool fuel_on = ctx.fuel.active;
-  std::uint32_t backedges = 0;
-  std::uint32_t fuel_charged = 0;
-  std::uint32_t pulse_next = fuel_on ? kFuelPulseBackedges : 0;
-
-  auto leave_frame = [&] {
-    if (fuel_on && backedges != fuel_charged) {
-      ctx.fuel.charge(backedges - fuel_charged);
-      fuel_charged = backedges;
-    }
-    ctx.top_frame = frame.gc.parent;
-    ctx.arena.release(arena_mark);
-  };
   // Returns true when the frame must deoptimize: the branch was a taken back
   // edge (a safepoint, hence also a deopt point) and the generation moved.
   // `pc` then still indexes the branch, which is how deopt_bailout finds the
@@ -158,7 +147,7 @@ class OptimizingBackend final : public OptBackend {
         // table (and the unwinder's il_pc mapping) still index a real
         // safepoint; the caller's bailout path sees the pending exception
         // and dispatches.
-        if (fuel_pulse(vm_, ctx, backedges, fuel_charged)) return true;
+        if (scope.fuel_pulse(vm_)) return true;
       }
       if (dent != nullptr && uw.idle() &&
           dent->deopt_generation.load(std::memory_order_relaxed) != dgen) {
@@ -497,7 +486,6 @@ class OptimizingBackend final : public OptBackend {
 
       case ROp::RET_R:
         if (in.a >= 0) result = R[in.a];
-        leave_frame();
         return result;
 
       case ROp::NEWOBJ_R: {
@@ -779,7 +767,6 @@ class OptimizingBackend final : public OptBackend {
             continue;
           case UnwindAction::Kind::Propagate:
             ctx.pending_exception = uw.exception();
-            leave_frame();
             return result;
         }
         break;
@@ -851,7 +838,7 @@ class OptimizingBackend final : public OptBackend {
         const std::int64_t trips =
             static_cast<std::int64_t>(limit) - static_cast<std::int64_t>(start);
         const std::uint32_t save_backedges = backedges;
-        const std::uint32_t save_charged = fuel_charged;
+        const std::uint32_t save_charged = scope.fuel_charged;
         const std::uint32_t save_pulse = pulse_next;
         std::uint64_t bulk = 0;
         if (fuel_on) {
@@ -860,10 +847,10 @@ class OptimizingBackend final : public OptBackend {
           if (after >= pulse_next) {
             const std::uint64_t last_pulse =
                 after - (after % kFuelPulseBackedges);
-            bulk = last_pulse - fuel_charged;
+            bulk = last_pulse - scope.fuel_charged;
             if (ctx.fuel.remaining <= static_cast<std::int64_t>(bulk)) break;
             ctx.fuel.charge(bulk);
-            fuel_charged = static_cast<std::uint32_t>(last_pulse);
+            scope.fuel_charged = static_cast<std::uint32_t>(last_pulse);
             pulse_next =
                 static_cast<std::uint32_t>(last_pulse) + kFuelPulseBackedges;
           }
@@ -917,7 +904,7 @@ class OptimizingBackend final : public OptBackend {
               // state back and let the scalar loop re-run — it meters itself
               // pulse by pulse and throws at exactly the offending element.
               backedges = save_backedges;
-              fuel_charged = save_charged;
+              scope.fuel_charged = save_charged;
               pulse_next = save_pulse;
               ctx.fuel.spent -= bulk;
               ctx.fuel.remaining += static_cast<std::int64_t>(bulk);
@@ -979,9 +966,7 @@ class OptimizingBackend final : public OptBackend {
     if (ctx.has_pending()) goto dispatch_exception;
     // The invocation finishes in an interpreter continuation built from the
     // side-table record at this branch; its result IS this frame's result.
-    result = engine_.deopt_bailout(ctx, rc, pc, R);
-    leave_frame();
-    return result;
+    return engine_.deopt_bailout(ctx, rc, pc, R);
   }
 
   dispatch_exception: {
@@ -1001,7 +986,6 @@ class OptimizingBackend final : public OptBackend {
         continue;
       default:
         ctx.pending_exception = exc;
-        leave_frame();
         return result;
     }
   }

@@ -292,23 +292,6 @@ ObjRef deserialize_from_string(VirtualMachine& vm, VMContext& ctx,
                            static_cast<std::size_t>(blob->length));
 }
 
-void serialize_to_file(VirtualMachine& vm, ObjRef root,
-                       const std::string& path) {
-  std::vector<char> bytes = serialize_graph(vm, root);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw SerializeError("cannot open " + path);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-ObjRef deserialize_from_file(VirtualMachine& vm, VMContext& ctx,
-                             const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw SerializeError("cannot open " + path);
-  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  return deserialize_graph(vm, ctx, bytes.data(), bytes.size());
-}
-
 // --- Code archives (snapshot warm start) ----------------------------------
 
 namespace {

@@ -64,13 +64,6 @@ ObjRef serialize_to_string(VirtualMachine& vm, VMContext& ctx, ObjRef root);
 ObjRef deserialize_from_string(VirtualMachine& vm, VMContext& ctx,
                                ObjRef blob);
 
-/// File round-trip used by the Serial benchmark variant that includes I/O,
-/// as the JGF original writes to and reads from a file.
-void serialize_to_file(VirtualMachine& vm, ObjRef root,
-                       const std::string& path);
-ObjRef deserialize_from_file(VirtualMachine& vm, VMContext& ctx,
-                             const std::string& path);
-
 // --- Code archives (snapshot warm start) ----------------------------------
 
 /// Serializes one or more CodeArchives (one per engine profile) into the

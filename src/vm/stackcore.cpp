@@ -21,9 +21,10 @@
 // plus the static local/arg types, so the operands of an instruction stay on
 // the stack until it retires.
 //
-// Every difference between the two is an `if constexpr` on the policy; frame
-// setup and teardown, the fuel/deadline pulse, the OSR trigger and exception
-// dispatch are written once.
+// Every difference between the two is an `if constexpr` on the policy; the
+// fuel/deadline pulse, the OSR trigger and exception dispatch are written
+// once. Frame setup and teardown is the FrameScope (execution.hpp) that the
+// optimizing tier uses too.
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -33,7 +34,6 @@
 #include "vm/execution.hpp"
 #include "vm/heap.hpp"
 #include "vm/intrinsics.hpp"
-#include "vm/telemetry/telemetry.hpp"
 #include "vm/unwind.hpp"
 
 namespace hpcnet::vm {
@@ -61,7 +61,7 @@ inline const Slot& val(const TaggedSlot& c) { return c.v; }
 template <class P>
 struct StackFrame {
   using Cell = typename P::Cell;
-  GcFrame gc;  // must be first (enumerate casts back)
+  GcFrame gc{nullptr, &enumerate};  // must be first (enumerate casts back)
   const MethodDef* m = nullptr;
   Cell* slots = nullptr;  // args + locals
   Cell* stack = nullptr;
@@ -357,14 +357,23 @@ class StackBackend final : public TierBackend {
     break;                                                           \
   }
 
+// 64-byte aligned like OptimizingBackend::run, so the dispatch loop's branch
+// targets keep the same cache-line offsets whatever the code linked ahead of
+// it weighs.
 template <class P>
-Slot StackBackend<P>::exec(VMContext& ctx, const MethodDef& m,
-                           const Slot* args) {
+[[gnu::aligned(64)]] Slot StackBackend<P>::exec(VMContext& ctx,
+                                                const MethodDef& m,
+                                                const Slot* args) {
   Module& mod = vm_.module();
   engine_.ensure_verified(m);
   if (fuel_kill(vm_, ctx)) return Slot{};
-  telemetry::InvocationScope tel(m.id, static_cast<std::uint8_t>(P::kTier));
-  const auto arena_mark = ctx.arena.mark();
+  // Retired bytecodes and taken backward branches, kept in register-friendly
+  // locals so the dispatch loop pays nothing; the frame scope reads them at
+  // exit (telemetry, residual fuel, tiering credit) and at fuel pulses.
+  std::uint64_t bc = 0;
+  std::uint32_t backedges = 0;
+  FrameScope scope(ctx, m.id, P::kTier, backedges, bc,
+                   tiered_ ? &engine_ : nullptr);
 
   Frame frame;
   frame.m = &m;
@@ -378,62 +387,12 @@ Slot StackBackend<P>::exec(VMContext& ctx, const MethodDef& m,
     }
   }
   for (std::size_t i = 0; i < m.num_args(); ++i) val(frame.slots[i]) = args[i];
-  frame.gc.parent = ctx.top_frame;
-  frame.gc.enumerate = &Frame::enumerate;
-  ctx.top_frame = &frame.gc;
+  scope.link(frame.gc);
 
   UnwindMachine uw;
   Cell* st = frame.stack;
   std::int32_t pc = 0;
   Slot result;
-  // Bytecode counter kept in a register-friendly local; flushed to the
-  // telemetry scope only at frame exit so the dispatch loop pays nothing.
-  std::uint64_t bc = 0;
-  // Taken backward branches, flushed to the tiering policy at frame exit
-  // (kept register-local for the same reason as bc).
-  std::uint32_t backedges = 0;
-  // Back edges already charged to ctx.fuel (== backedges at each pulse).
-  std::uint32_t fuel_charged = 0;
-
-  // Frame teardown is RAII so it runs on EVERY exit: normal returns,
-  // managed exceptions propagating out, and native C++ exceptions (frame
-  // arena exhaustion, a compile failure inside a nested call) unwinding
-  // through the dispatch loop. Without it a native unwind would leave
-  // ctx.top_frame pointing at this dead frame (a GC crash waiting in the
-  // caller's catch) and silently drop the frame's back-edge credit.
-  // Declared after `tel` so the bytecode count lands before tel's flush.
-  struct FrameExit {
-    StackBackend* self;
-    VMContext& ctx;
-    Frame& frame;
-    telemetry::InvocationScope& tel;
-    const MethodDef& m;
-    FrameArena::Mark arena_mark;
-    const std::uint64_t& bc;
-    const std::uint32_t& backedges;
-    const std::uint32_t& fuel_charged;
-    ~FrameExit() {
-      tel.bytecodes = bc;
-      ctx.top_frame = frame.gc.parent;
-      ctx.arena.release(arena_mark);
-      // Residual fuel: back edges taken since the last pulse are charged at
-      // frame exit (no kill check here — the next pulse or call boundary
-      // catches an overdraw), so short loops in callees are still metered.
-      if (ctx.fuel.active && backedges != fuel_charged) {
-        ctx.fuel.charge(backedges - fuel_charged);
-      }
-      if (self->tiered_ && backedges != 0) {
-        try {
-          self->engine_.note_backedges(m.id, backedges);
-        } catch (...) {
-          // A failed promotion (code-cache exhaustion) must not terminate
-          // the process when this flush runs during another unwind; the
-          // credit is simply dropped.
-        }
-      }
-    }
-  } frame_exit{this,       ctx, frame,     tel, m,
-               arena_mark, bc,  backedges, fuel_charged};
 
   // On-stack replacement: once THIS frame's taken back edges cross the
   // trigger, compile a continuation at the loop header and finish the
@@ -482,7 +441,7 @@ Slot StackBackend<P>::exec(VMContext& ctx, const MethodDef& m,
   // exhausted-but-caught job is re-killed a pulse later.
   auto pulse = [&](std::int32_t header) -> bool {
     pulse_next += pulse_step;
-    if (fuel_on && fuel_pulse(vm_, ctx, backedges, fuel_charged)) return false;
+    if (fuel_on && scope.fuel_pulse(vm_)) return false;
     return try_osr(header);
   };
 
@@ -711,7 +670,7 @@ Slot StackBackend<P>::exec(VMContext& ctx, const MethodDef& m,
       }
       case Op::RET:
         if (m.sig.ret != ValType::None) result = val(st[frame.sp - 1]);
-        return result;  // frame_exit tears down
+        return result;  // scope tears down
 
       case Op::NEWOBJ: {
         if constexpr (!P::kTagged) frame.pc = pc;
@@ -894,7 +853,7 @@ Slot StackBackend<P>::exec(VMContext& ctx, const MethodDef& m,
             continue;
           case UnwindAction::Kind::Propagate:
             ctx.pending_exception = uw.exception();
-            return result;  // frame_exit tears down
+            return result;  // scope tears down
         }
         break;
       }
@@ -940,7 +899,7 @@ Slot StackBackend<P>::exec(VMContext& ctx, const MethodDef& m,
         continue;
       default:
         ctx.pending_exception = exc;
-        return result;  // frame_exit tears down
+        return result;  // scope tears down
     }
   }
   }

@@ -195,7 +195,8 @@ void count_slow(Counter c, std::uint64_t delta);
 void record_allocation_slow(std::uint64_t bytes);
 }  // namespace detail
 
-/// One managed frame entered (plus bytecodes retired, for the IL tiers).
+/// One managed frame, counted at its exit (plus the bytecodes it retired,
+/// for the IL tiers; a frame unwound by a native exception still counts).
 /// `tier` is the numeric Tier the frame ran on (uint8 to keep this header
 /// free of execution.hpp).
 inline void record_invocation(std::int32_t method_id,
@@ -211,27 +212,6 @@ inline void count(Counter c, std::uint64_t delta = 1) {
 inline void record_allocation(std::uint64_t bytes) {
   if (enabled()) detail::record_allocation_slow(bytes);
 }
-
-/// RAII per-frame scope for the engines: counts the invocation (and, for the
-/// IL tiers, retired bytecodes) when the frame exits. The dispatch loops keep
-/// their own register-local counter and assign it to `bytecodes` at frame
-/// exit — writing through this member per instruction costs ~10% on the
-/// baseline tier even when telemetry is idle. A frame torn down by a native
-/// C++ exception reports 0 bytecodes; the invocation itself is still counted.
-class InvocationScope {
- public:
-  explicit InvocationScope(std::int32_t method_id, std::uint8_t tier = 0)
-      : method_id_(method_id), tier_(tier) {}
-  ~InvocationScope() { record_invocation(method_id_, bytecodes, tier_); }
-  InvocationScope(const InvocationScope&) = delete;
-  InvocationScope& operator=(const InvocationScope&) = delete;
-
-  std::uint64_t bytecodes = 0;
-
- private:
-  std::int32_t method_id_;
-  std::uint8_t tier_;
-};
 
 // ---------------------------------------------------------------------------
 // Low-frequency hooks (gate checked inside; call cost irrelevant).

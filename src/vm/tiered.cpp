@@ -16,12 +16,13 @@
 // still can never change WHAT it computes.
 //
 // Locking: verification takes the VM-shared per-method verify latch;
-// compilation takes this profile's per-method latch (OSR continuations get
-// their own entry, keyed (body, header pc)). Neither is ever held while
-// acquiring another method's latch — the inline pass's callees are verified
-// (transitively) up front, and osr_code promotes the root method BEFORE
-// taking the continuation's latch — and regir::compile runs outside any
-// cache-wide lock, so distinct methods compile concurrently.
+// compilation (compile_and_publish) takes this profile's per-method latch
+// (OSR continuations get their own entry, keyed (body, header pc)). Neither
+// is ever held while acquiring another method's latch — the inline pass's
+// callees are verified (transitively) up front, and osr_code promotes the
+// root method BEFORE taking the continuation's latch — and regir::compile
+// runs outside any cache-wide lock, so distinct methods compile
+// concurrently.
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
@@ -175,24 +176,29 @@ const regir::RCode& TieredEngine::compile_optimizing(CodeCache::Entry& e,
   // would deadlock two threads compiling mutually-inlining methods.
   ensure_verified(m);
   if (profile_.flags.inline_calls) pre_verify_callees(m);
-  std::unique_lock<std::mutex> latch(e.latch);
-  if (const regir::RCode* rc = e.code.load(std::memory_order_relaxed)) {
-    return *rc;  // lost the race; the winner already published tier + code
-  }
-  const telemetry::CompileContext tel_engine(profile_.name.c_str());
-  const std::int64_t compile_begin = support::now_ns();
-  auto compiled = std::make_shared<const regir::RCode>(
-      regir::compile(vm_.module(), m, profile_.flags));
-  const regir::RCode* rc = cache_.adopt(std::move(compiled));
-  e.code.store(rc, std::memory_order_release);
-  const std::uint8_t prev =
-      e.tier.exchange(kOpt, std::memory_order_release);
-  latch.unlock();
-  telemetry::record_compile(m.id, m.name, compile_begin, support::now_ns());
+  const auto [rc, prev] = compile_and_publish(e, m);
   if (tiered_ && prev != kOpt) {
     telemetry::record_tier_up(m.id, m.name, prev, kOpt);
   }
   return *rc;
+}
+
+std::pair<const regir::RCode*, std::uint8_t> TieredEngine::compile_and_publish(
+    CodeCache::Entry& e, const MethodDef& body) {
+  std::unique_lock<std::mutex> latch(e.latch);
+  if (const regir::RCode* rc = e.code.load(std::memory_order_relaxed)) {
+    return {rc, kOpt};  // lost the race; the winner already published
+  }
+  const telemetry::CompileContext tel_engine(profile_.name.c_str());
+  const std::int64_t compile_begin = support::now_ns();
+  const regir::RCode* rc = cache_.adopt(std::make_shared<const regir::RCode>(
+      regir::compile(vm_.module(), body, profile_.flags)));
+  e.code.store(rc, std::memory_order_release);
+  const std::uint8_t prev = e.tier.exchange(kOpt, std::memory_order_release);
+  latch.unlock();
+  telemetry::record_compile(body.id, body.name, compile_begin,
+                            support::now_ns());
+  return {rc, prev};
 }
 
 const regir::RCode* TieredEngine::opt_code_for_call(std::int32_t method_id) {
@@ -215,6 +221,14 @@ void TieredEngine::note_backedges(std::int32_t method_id,
   const std::uint32_t credit = std::min(taken, kBackedgeCredit);
   const std::uint32_t h = bump_hotness(e.hotness, credit);
   maybe_promote(e, vm_.module().method(method_id), h);
+}
+
+void FrameScope::flush_backedge_credit() noexcept {
+  try {
+    credit_->note_backedges(method_id_, backedges_);
+  } catch (...) {
+    // The credit is dropped; see the declaration.
+  }
 }
 
 std::shared_ptr<const MethodDef> TieredEngine::continuation_for(
@@ -246,24 +260,9 @@ const regir::RCode* TieredEngine::osr_code(const MethodDef& body,
   }
   std::shared_ptr<const MethodDef> cont = continuation_for(body, header_pc);
   if (cont == nullptr) return nullptr;
-  std::unique_lock<std::mutex> latch(e.latch);
-  if (const regir::RCode* rc = e.code.load(std::memory_order_relaxed)) {
-    return rc;  // lost the race; the winner already published
-  }
-  const telemetry::CompileContext tel_engine(profile_.name.c_str());
-  const std::int64_t compile_begin = support::now_ns();
-  // No lifetime knot here anymore: compile() always hands the RCode its own
-  // body copy, so the detached continuation's shared_ptr map entry is not
-  // load-bearing for the published code.
-  auto compiled = std::make_shared<const regir::RCode>(
-      regir::compile(vm_.module(), *cont, profile_.flags));
-  const regir::RCode* rc = cache_.adopt(std::move(compiled));
-  e.code.store(rc, std::memory_order_release);
-  e.tier.store(kOpt, std::memory_order_release);
-  latch.unlock();
-  telemetry::record_compile(body.id, cont->name, compile_begin,
-                            support::now_ns());
-  return rc;
+  // compile() hands the RCode its own body copy, so the continuation map
+  // entry is not load-bearing for the published code.
+  return compile_and_publish(e, *cont).first;
 }
 
 Slot TieredEngine::osr_enter(VMContext& ctx, const regir::RCode& rc,

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace hpcnet::vm {
@@ -27,6 +28,8 @@ static_assert(std::endian::native == std::endian::little,
 /// Append-only little-endian encoder.
 class ByteWriter {
  public:
+  /// Appends to `buf` (moved in; take() hands it back).
+  explicit ByteWriter(std::vector<char> buf = {}) : buf_(std::move(buf)) {}
   void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
   void u32(std::uint32_t v) { bytes(&v, sizeof v); }
   void u64(std::uint64_t v) { bytes(&v, sizeof v); }

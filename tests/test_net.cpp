@@ -146,7 +146,9 @@ std::vector<char> submit_frame(std::int32_t method, std::uint64_t req) {
   w.u8(1);
   w.u8(static_cast<std::uint8_t>(ValType::I32));
   w.u64(Slot::from_i32(10).raw);
-  return net::encode_frame(FrameType::Submit, w.data());
+  std::vector<char> frame;
+  net::append_frame(frame, FrameType::Submit, w.data());
+  return frame;
 }
 
 TEST(Net, ScalarRoundTrip) {
@@ -273,8 +275,8 @@ TEST(Net, BadMagicAndVersionAreRefused) {
     w.u32(version);
     w.str("a");
     w.str("");
-    const std::vector<char> frame =
-        net::encode_frame(FrameType::Hello, w.data());
+    std::vector<char> frame;
+    net::append_frame(frame, FrameType::Hello, w.data());
     VmClient c;
     c.connect("127.0.0.1", lb.server.port());
     c.send_raw(frame.data(), frame.size());
@@ -769,7 +771,8 @@ TEST(Net, MidSubmitDisconnectLeavesServerHealthy) {
 TEST(Net, ByteFlipFuzzNeverKillsTheServer) {
   Loopback lb;
   const std::vector<char> frame = submit_frame(lb.spin, 11);
-  const std::vector<char> stats = net::encode_frame(FrameType::Stats, {});
+  std::vector<char> stats;
+  net::append_frame(stats, FrameType::Stats, {});
   for (std::size_t i = 0; i < frame.size(); ++i) {
     std::vector<char> mutant = frame;
     mutant[i] = static_cast<char>(mutant[i] ^ 0xFF);

@@ -1,9 +1,7 @@
 // Serialization substrate: object-graph round trips (lists, cycles, shared
-// references, every object kind), error handling on malformed streams, and
-// the file-based variant the JGF Serial benchmark exercises.
+// references, every object kind) and error handling on malformed streams.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 #include <memory>
 
@@ -239,19 +237,6 @@ TEST_F(SerializeTest, RejectsBadMagic) {
   EXPECT_THROW(
       deserialize_graph(vm, vm.main_context(), junk.data(), junk.size()),
       SerializeError);
-}
-
-TEST_F(SerializeTest, FileRoundTrip) {
-  ObjRef head = nullptr;
-  for (int i = 0; i < 5; ++i) head = make_node(i * 10, head);
-  Pinned pin(vm, head);
-  const std::string path = "/tmp/hpcnet_serial_test.bin";
-  serialize_to_file(vm, head, path);
-  ObjRef copy = deserialize_from_file(vm, vm.main_context(), path);
-  int n = 0;
-  for (ObjRef p = copy; p != nullptr; p = p->fields()[1].ref) ++n;
-  EXPECT_EQ(n, 5);
-  std::remove(path.c_str());
 }
 
 TEST_F(SerializeTest, SurvivesGcPressureDuringDeserialize) {

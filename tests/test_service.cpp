@@ -19,6 +19,7 @@
 #include "vm/monitor.hpp"
 #include "vm/service/service.hpp"
 #include "vm/verifier.hpp"
+#include "vm_test_util.hpp"
 
 namespace hpcnet::test {
 namespace {
@@ -295,6 +296,25 @@ TEST(Service, MeteredJobCannotSpawnThreads) {
   const JobResult ru = svc.submit("free", spawner, {}).wait();
   EXPECT_EQ(ru.outcome, JobOutcome::Completed);
   EXPECT_EQ(ru.value.i32, 1);
+}
+
+// One tenant's runaway recursion overflows the worker's frame arena. The job
+// faults; the worker's context must come out of the native unwind clean, so
+// a collection and the next job on the same worker still run.
+TEST(Service, StackOverflowJobFaultsAndWorkerSurvives) {
+  VirtualMachine vm;
+  const auto deep = test::build_deep_recursion(vm.module(), "svc.deep");
+  const auto spin = build_spin(vm.module(), "svc.spin");
+  ExecutionService svc(vm, profiles::clr11(),
+                       {.workers = 1, .warm_start = nullptr});
+  svc.add_tenant({.name = "a"});
+  const JobResult r = svc.submit("a", deep, {Slot::from_i32(0)}).wait();
+  EXPECT_EQ(r.outcome, JobOutcome::Faulted);
+  EXPECT_NE(r.error.find("managed stack overflow"), std::string::npos);
+  vm.collect();
+  const JobResult next = svc.submit("a", spin, {Slot::from_i32(10)}).wait();
+  EXPECT_EQ(next.outcome, JobOutcome::Completed);
+  EXPECT_EQ(next.value.i32, 45);
 }
 
 // Regression (REVIEW): a budgeted refill must charge a fixed segment granule

@@ -403,5 +403,40 @@ TEST(VmExceptions, UnboxWrongTypeThrowsInvalidCast) {
   }
 }
 
+// A managed stack overflow is a native exception unwinding through every
+// live frame of every tier on the way out. Each frame must unlink its GC
+// root and release its arena block as it goes, and invoke must restore the
+// caller's engine: a root left pointing at a dead frame crashes the next
+// collection.
+TEST(VmExceptions, ManagedStackOverflowLeavesContextUsable) {
+  for (const char* profile :
+       {"clr11", "clr11.vec", "mono023", "rotor10", "clr11.tiered"}) {
+    SCOPED_TRACE(profile);
+    VirtualMachine vm;
+    Module& mod = vm.module();
+    const auto deep = build_deep_recursion(mod, "deep");
+    ILBuilder ok(mod, "after_overflow", {{}, ValType::I32});
+    ok.ldc_i4(7).newarr(ValType::F64).ldlen().ret();
+    const auto after = ok.finish();
+    verify(mod, deep);
+    verify(mod, after);
+    auto engine = make_engine(vm, profiles::by_name(profile));
+    VMContext& ctx = vm.main_context();
+    ctx.engine = nullptr;
+    GcFrame* const top = ctx.top_frame;
+    const Slot arg = Slot::from_i32(0);
+    try {
+      engine->invoke(ctx, deep, {&arg, 1});
+      FAIL() << "recursion returned";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "managed stack overflow");
+    }
+    EXPECT_EQ(ctx.top_frame, top);
+    EXPECT_EQ(ctx.engine, nullptr);
+    vm.collect();
+    EXPECT_EQ(engine->invoke(ctx, after, {}).i32, 7);
+  }
+}
+
 }  // namespace
 }  // namespace hpcnet::test

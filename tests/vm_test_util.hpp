@@ -67,6 +67,18 @@ struct VMFixture {
   }
 };
 
+/// deep(n) { return deep(n + 1) + 1; } with 4096 ref locals: unbounded
+/// self-recursion whose frames are big enough that the 16 MiB frame arena
+/// overflows (std::runtime_error "managed stack overflow") within a few
+/// hundred frames on every tier, long before the native stack does.
+inline std::int32_t build_deep_recursion(Module& mod, const std::string& name) {
+  const auto self = static_cast<std::int32_t>(mod.method_count());
+  ILBuilder b(mod, name, {{ValType::I32}, ValType::I32});
+  for (int i = 0; i < 4096; ++i) b.add_local(ValType::Ref);
+  b.ldarg(0).ldc_i4(1).add().call(self).ldc_i4(1).add().ret();
+  return b.finish();
+}
+
 /// Builds the expected bytes of a golden-byte test. Integers are spelled out
 /// little-endian with shifts, so the expectation is the format itself, not
 /// whatever the host's byte order makes of it.
